@@ -906,9 +906,17 @@ let service () =
   line "SNAPSHOT every 1000 requests, REBALANCE (active-set Algo2) every 1000.";
   line "journaled run fsync policy: %s"
     (Aa_service.Journal.fsync_to_string service_fsync);
+  (* parse + engine dispatch on this domain: the engine's cost without
+     the dispatcher's worker hand-off *)
   let time_script label engine script =
+    let cap = Aa_service.Engine.capacity engine in
     let t0 = now () in
-    List.iter (fun l -> ignore (Aa_service.Engine.handle_line engine l)) script;
+    List.iter
+      (fun l ->
+        match Aa_service.Protocol.parse_request ~cap l with
+        | Ok req -> ignore (Aa_service.Engine.handle engine req)
+        | Error _ -> ())
+      script;
     let dt = now () -. t0 in
     line "%-12s %10.0f requests/s  (%.2f s total, %d thread(s) active at end)" label
       (float_of_int n_requests /. dt)
@@ -917,7 +925,7 @@ let service () =
   in
   let script = make_service_script ~n_requests () in
   time_script "in-memory"
-    (Aa_service.Engine.create ~clock:now ~servers:8 ~capacity:1000.0 ())
+    (Aa_service.Engine.create ~servers:8 ~capacity:1000.0 ())
     script;
   let path = Filename.temp_file "aa_bench_journal" ".log" in
   (match
@@ -927,7 +935,7 @@ let service () =
   | Error e -> line "journaled bench skipped: %s" e
   | Ok j ->
       time_script "journaled"
-        (Aa_service.Engine.create ~clock:now ~journal:j ~servers:8 ~capacity:1000.0 ())
+        (Aa_service.Engine.create ~journal:j ~servers:8 ~capacity:1000.0 ())
         script;
       Aa_service.Journal.close j);
   Sys.remove path
@@ -968,8 +976,8 @@ let service_shards () =
       in
       let engines =
         Array.init shards (fun k ->
-            Aa_service.Engine.create ~clock:now ~journal:journals.(k)
-              ~servers:counts.(k) ~capacity:1000.0 ())
+            Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
+              ~capacity:1000.0 ())
       in
       let sh = Aa_service.Shard.create engines in
       let inflight = Queue.create () in
@@ -1042,8 +1050,8 @@ let service_telemetry () =
     in
     let engines =
       Array.init shards (fun k ->
-          Aa_service.Engine.create ~clock:now ~journal:journals.(k)
-            ~servers:counts.(k) ~capacity:1000.0 ())
+          Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
+            ~capacity:1000.0 ())
     in
     let sh = Aa_service.Shard.create engines in
     let alog_path = Filename.temp_file "aa_bench_alog" ".jsonl" in
@@ -1068,25 +1076,12 @@ let service_telemetry () =
       | Aa_service.Shard.Crashed name ->
           Printf.eprintf "bench: shard crashed at %s\n%!" name;
           exit 2
-      | Aa_service.Shard.Reply resp -> (
+      | Aa_service.Shard.Reply resp as out ->
           (* render the ack in both runs — the wire write the daemon
              pays either way must not be billed to telemetry *)
           let text = Aa_service.Protocol.print_response resp in
-          match Aa_service.Shard.rctx tk with
-          | None -> ()
-          | Some c ->
-              let outcome =
-                match resp with
-                | Aa_service.Protocol.Err { code; _ } ->
-                    "err:" ^ Aa_service.Protocol.code_name code
-                | _ -> "ok"
-              in
-              ignore (Aa_obs.Rctx.finish c ~outcome);
-              Option.iter
-                (fun a ->
-                  Aa_service.Access_log.log a c ~outcome
-                    ~bytes:(String.length text + 1))
-                alog)
+          Aa_service.Shard.finish alog tk out
+            (Aa_service.Shard.Sent (String.length text + 1))
     in
     let t0 = now () in
     List.iter

@@ -8,12 +8,12 @@
 
      $ printf 'ADMIT power 4 0.5\nQUERY 0\nSTATS\n' | aa_serve -m 2 -C 10
 
-   With --listen the same protocol is served to concurrent socket
-   clients (framed or raw lines, see doc/service-protocol.md) while
-   stdin remains a degenerate extra connection — and closing stdin
-   remains the way to stop the daemon. --shards N partitions servers
-   and threads across N engines, each with its own journal
-   (<path>.shardK) and worker domain. *)
+   Every session runs through one Shard dispatcher. With --listen the
+   same protocol is served to concurrent socket clients (framed or raw
+   lines, see doc/service-protocol.md) while stdin remains one more
+   connection — and closing stdin remains the way to stop the daemon.
+   --shards N partitions servers and threads across N engines, each
+   with its own journal (<path>.shardK) and worker domain. *)
 
 open Cmdliner
 open Aa_numerics
@@ -25,18 +25,6 @@ let fail fmt =
       Printf.eprintf "aa_serve: %s\n" m;
       exit 1)
     fmt
-
-let check_flags engine servers capacity =
-  (match servers with
-  | Some m when m <> Engine.servers engine ->
-      fail "--servers %d disagrees with the journal header (%d)" m
-        (Engine.servers engine)
-  | Some _ | None -> ());
-  match capacity with
-  | Some c when Util.fne_rel ~rel:1e-9 c (Engine.capacity engine) ->
-      fail "--capacity %g disagrees with the journal header (%g)" c
-        (Engine.capacity engine)
-  | Some _ | None -> ()
 
 (* Fault schedules come from --faults and the AA_FAULTS environment
    variable (comma-joined, CLI last so it wins on a same-name clash);
@@ -56,6 +44,9 @@ let arm_faults spec =
       | Ok () -> ()
       | Error e -> fail "--faults: %s" e)
 
+(* An armed crash failpoint simulates a power cut: die without closing
+   the journal (exit 70 = EX_SOFTWARE), so the next --replay exercises
+   the real recovery path. *)
 let crash name =
   Printf.eprintf "aa_serve: injected crash at failpoint %s\n%!" name;
   exit 70
@@ -65,13 +56,35 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (ip, port) ->
       Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
 
-(* The sharded/socket daemon. Engines are built one per shard — servers
-   split in contiguous blocks, journals at <path>.shardK (the bare path
-   for one shard, so --shards 1 reads and writes exactly the same
-   journal as the classic loop) — then a Shard dispatcher serves stdin
-   and, with --listen, every socket client concurrently. *)
-let serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~shards
-    ~window ~access_log ~coarsen_eps ~policy =
+(* Engines are built one per shard — servers split in contiguous
+   blocks, journals at <path>.shardK (the bare path for one shard) —
+   then a Shard dispatcher serves stdin and, with --listen, every
+   socket client concurrently. *)
+let serve servers capacity journal replay fsync faults trace listen shards window
+    access_log slow_ms coarsen rebalance_policy drift_frac =
+  if trace then Aa_obs.Control.set_enabled true;
+  (* request contexts ride along with any of the telemetry surfaces *)
+  if trace || access_log <> None || slow_ms <> None then Aa_obs.Rctx.set_enabled true;
+  Option.iter Aa_obs.Rctx.set_slow_ms slow_ms;
+  arm_faults faults;
+  if shards < 1 then fail "--shards must be >= 1";
+  if window < 0.0 then fail "--group-commit-window must be >= 0";
+  let coarsen_eps = Option.value coarsen ~default:0.0 in
+  if coarsen_eps < 0.0 || not (Float.is_finite coarsen_eps) then
+    fail "--coarsen must be a finite non-negative eps";
+  if not (drift_frac >= 0.0 && drift_frac <= 1.0) then
+    fail "--drift-frac must be in [0, 1]";
+  let policy =
+    match rebalance_policy with
+    | "incremental" -> Aa_core.Online.Incremental
+    | "auto" -> Aa_core.Online.Auto { frac = drift_frac }
+    | s -> fail "--rebalance-policy: unknown policy %S (expected incremental|auto)" s
+  in
+  let fsync =
+    match Journal.fsync_of_string fsync with
+    | Ok p -> p
+    | Error e -> fail "--fsync: %s" e
+  in
   let alog =
     match access_log with
     | None -> None
@@ -83,37 +96,34 @@ let serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~sha
   let shard_path path k =
     if shards = 1 then path else Printf.sprintf "%s.shard%d" path k
   in
-  let counts m =
-    try Shard.server_counts ~servers:m ~shards
+  let counts () =
+    try Shard.server_counts ~servers:(Option.value servers ~default:8) ~shards
     with Invalid_argument e -> fail "%s" e
   in
+  let capacity_or_default = Option.value capacity ~default:1000.0 in
   let engines =
     match (journal, replay) with
     | None, true -> fail "--replay requires --journal"
     | None, false ->
-        let counts = counts (Option.value servers ~default:8) in
-        let capacity = Option.value capacity ~default:1000.0 in
+        let counts = counts () in
         Array.init shards (fun k ->
-            Engine.create ~clock ~coarsen_eps ~policy ~servers:counts.(k) ~capacity ())
+            Engine.create ~coarsen_eps ~policy ~servers:counts.(k)
+              ~capacity:capacity_or_default ())
     | Some path, true ->
         Array.init shards (fun k ->
-            match
-              Engine.of_journal ~clock ~fsync ~coarsen_eps ~policy
-                ~path:(shard_path path k) ()
-            with
+            match Engine.of_journal ~fsync ~coarsen_eps ~policy ~path:(shard_path path k) () with
             | Ok e -> e
             | Error e -> fail "%s" e)
     | Some path, false ->
-        let counts = counts (Option.value servers ~default:8) in
-        let capacity = Option.value capacity ~default:1000.0 in
+        let counts = counts () in
         Array.init shards (fun k ->
             match
               Journal.create ~fsync ~path:(shard_path path k) ~servers:counts.(k)
-                ~capacity ()
+                ~capacity:capacity_or_default ()
             with
             | Ok j ->
-                Engine.create ~clock ~journal:j ~coarsen_eps ~policy
-                  ~servers:counts.(k) ~capacity ()
+                Engine.create ~journal:j ~coarsen_eps ~policy ~servers:counts.(k)
+                  ~capacity:capacity_or_default ()
             | Error e -> fail "%s" e)
   in
   if replay then begin
@@ -121,7 +131,7 @@ let serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~sha
     | Some m ->
         let total = Array.fold_left (fun a e -> a + Engine.servers e) 0 engines in
         if m <> total then
-          fail "--servers %d disagrees with the journal headers (total %d)" m total
+          fail "--servers %d disagrees with the journal header (%d)" m total
     | None -> ());
     match capacity with
     | Some c when Util.fne_rel ~rel:1e-9 c (Engine.capacity engines.(0)) ->
@@ -151,21 +161,12 @@ let serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~sha
                   (string_of_sockaddr (Aa_net.Listener.sockaddr l));
                 Some l))
   in
-  (* stdin is connection 0: post (not handle_line) so the ticket keeps
-     its request context and this loop can finish/log it like the
-     listener's writer thread does for socket clients *)
-  let finish tk ~resp ~bytes =
-    match Shard.rctx tk with
-    | None -> ()
-    | Some c -> (
-        let outcome =
-          match resp with
-          | Some (Protocol.Err { code; _ }) -> "err:" ^ Protocol.code_name code
-          | Some _ -> "ok"
-          | None -> "crashed"
-        in
-        ignore (Aa_obs.Rctx.finish c ~outcome);
-        match alog with Some al -> Access_log.log al c ~outcome ~bytes | None -> ())
+  (* stdin is connection 0, one request at a time *)
+  let reply resp =
+    let text = Protocol.print_response resp in
+    print_endline text;
+    flush stdout;
+    String.length text + 1
   in
   let rec loop () =
     match In_channel.input_line In_channel.stdin with
@@ -175,107 +176,19 @@ let serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~sha
         | `Blank -> ()
         | `Ticket tk -> (
             match Shard.await shard tk with
-            | Shard.Reply resp ->
-                let text = Protocol.print_response resp in
-                print_endline text;
-                flush stdout;
-                finish tk ~resp:(Some resp) ~bytes:(String.length text + 1)
-            | Shard.Crashed name ->
-                finish tk ~resp:None ~bytes:0;
+            | Shard.Reply resp as out -> Shard.finish alog tk out (Shard.Sent (reply resp))
+            | Shard.Crashed name as out ->
+                Shard.finish alog tk out Shard.Dropped;
                 crash name)
-        | `Immediate (Shard.Reply resp) ->
-            print_endline (Protocol.print_response resp);
-            flush stdout
+        | `Immediate (Shard.Reply resp) -> ignore (reply resp)
         | `Immediate (Shard.Crashed name) -> crash name);
         loop ()
   in
   loop ();
   (match Shard.crashed shard with Some name -> crash name | None -> ());
-  (match listener with Some l -> Aa_net.Listener.stop l | None -> ());
+  Option.iter Aa_net.Listener.stop listener;
   Shard.shutdown shard;
-  match alog with Some al -> Access_log.close al | None -> ()
-
-let serve servers capacity journal replay fsync faults trace listen shards window
-    access_log slow_ms coarsen rebalance_policy drift_frac =
-  if trace then Aa_obs.Control.set_enabled true;
-  (* request contexts ride along with any of the telemetry surfaces *)
-  if trace || access_log <> None || slow_ms <> None then Aa_obs.Rctx.set_enabled true;
-  Option.iter Aa_obs.Rctx.set_slow_ms slow_ms;
-  arm_faults faults;
-  if shards < 1 then fail "--shards must be >= 1";
-  if window < 0.0 then fail "--group-commit-window must be >= 0";
-  let coarsen_eps = Option.value coarsen ~default:0.0 in
-  if coarsen_eps < 0.0 || not (Float.is_finite coarsen_eps) then
-    fail "--coarsen must be a finite non-negative eps";
-  if not (drift_frac >= 0.0 && drift_frac <= 1.0) then
-    fail "--drift-frac must be in [0, 1]";
-  let policy =
-    match rebalance_policy with
-    | "incremental" -> Aa_core.Online.Incremental
-    | "full" -> Aa_core.Online.Full
-    | "auto" -> Aa_core.Online.Auto { frac = drift_frac }
-    | s -> fail "--rebalance-policy: unknown policy %S (expected incremental|full|auto)" s
-  in
-  let fsync =
-    match Journal.fsync_of_string fsync with
-    | Ok p -> p
-    | Error e -> fail "--fsync: %s" e
-  in
-  let clock = Aa_obs.Clock.now_s in
-  (* telemetry needs tickets that carry request contexts, which only
-     the sharded dispatch mints — route through it (n = 1 is
-     wire-identical to the classic loop) *)
-  if shards > 1 || listen <> None || access_log <> None || slow_ms <> None then
-    serve_sharded ~servers ~capacity ~journal ~replay ~fsync ~clock ~listen ~shards
-      ~window ~access_log ~coarsen_eps ~policy
-  else
-  let engine =
-    match (journal, replay) with
-    | None, true -> fail "--replay requires --journal"
-    | None, false ->
-        Engine.create ~clock ~coarsen_eps ~policy
-          ~servers:(Option.value servers ~default:8)
-          ~capacity:(Option.value capacity ~default:1000.0)
-          ()
-    | Some path, true -> (
-        match Engine.of_journal ~clock ~fsync ~coarsen_eps ~policy ~path () with
-        | Ok engine ->
-            check_flags engine servers capacity;
-            engine
-        | Error e -> fail "%s" e)
-    | Some path, false -> (
-        let servers = Option.value servers ~default:8 in
-        let capacity = Option.value capacity ~default:1000.0 in
-        match Journal.create ~fsync ~path ~servers ~capacity () with
-        | Ok j ->
-            Engine.create ~clock ~journal:j ~coarsen_eps ~policy ~servers ~capacity ()
-        | Error e -> fail "%s" e)
-  in
-  Printf.eprintf "aa_serve: %d server(s), capacity %g%s, %d thread(s) active\n%!"
-    (Engine.servers engine) (Engine.capacity engine)
-    (match Engine.journal engine with
-    | None -> ""
-    | Some j -> Printf.sprintf ", journal %s" (Journal.path j))
-    (Engine.n_active engine);
-  let rec loop () =
-    match In_channel.input_line In_channel.stdin with
-    | None -> ()
-    | Some line ->
-        (match Engine.handle_line engine line with
-        | None -> ()
-        | Some resp ->
-            print_endline (Protocol.print_response resp);
-            flush stdout);
-        loop ()
-  in
-  (* An armed crash failpoint simulates a power cut: die without
-     closing the journal (exit 70 = EX_SOFTWARE), so the next --replay
-     exercises the real recovery path. *)
-  (try loop ()
-   with Aa_fault.Failpoint.Crash name ->
-     Printf.eprintf "aa_serve: injected crash at failpoint %s\n%!" name;
-     exit 70);
-  match Engine.journal engine with None -> () | Some j -> Journal.close j
+  Option.iter Access_log.close alog
 
 let main_cmd =
   let servers =
@@ -411,11 +324,8 @@ let main_cmd =
       & info [ "rebalance-policy" ] ~docv:"POLICY"
           ~doc:
             "Online maintenance strategy: $(b,incremental) (default — splice \
-             piece orders between requests; bit-identical placements to \
-             $(b,full) without its per-request allocator runs), $(b,full) \
-             (re-run the water-filling allocator from scratch on every \
-             candidate server), or $(b,auto) (incremental plus a certified \
-             drift trigger: once the online utility decays below \
+             piece orders between requests) or $(b,auto) (incremental plus a \
+             certified drift trigger: once the online utility decays below \
              --drift-frac of the certified bound, re-solve the active set \
              with Algorithm 2, migrating threads).")
   in

@@ -150,38 +150,21 @@ let reader_loop shard ~conn fd cq =
   in
   go ()
 
-let outcome_of : Protocol.response -> string = function
-  | Protocol.Err { code; _ } -> "err:" ^ Protocol.code_name code
-  | _ -> "ok"
-
-(* Close a ticket's request context from the acking side: finish stamps
-   total latency (and feeds slow capture), then the access log gets its
-   one record per request. Exactly once per ticket — the writer is the
-   only consumer. *)
-let finish_ticket t tk ~outcome ~bytes =
-  match Shard.rctx tk with
-  | None -> ()
-  | Some c -> (
-      ignore (Aa_obs.Rctx.finish c ~outcome);
-      match t.access_log with
-      | Some al -> Access_log.log al c ~outcome ~bytes
-      | None -> ())
-
 let writer_loop t fd cq =
-  (* send returns (keep_going, outcome, wire bytes) *)
+  (* the wire bytes written, or [Dropped] for a crash *)
   let send framed out =
     match out with
     | Shard.Reply resp ->
         let text = Protocol.print_response resp in
         let wire = if framed then Frame.encode text else text ^ "\n" in
         Frame.write_all fd wire;
-        (true, outcome_of resp, String.length wire)
+        Shard.Sent (String.length wire)
     | Shard.Crashed name ->
         (* the simulated process death: the client sees its connection
            drop with the ack withheld, exactly like a real crash *)
         safe_close fd;
         t.on_crash name;
-        (false, "crashed", 0)
+        Shard.Dropped
   in
   let rec go () =
     match q_pop cq with
@@ -190,21 +173,18 @@ let writer_loop t fd cq =
         (try Frame.write_all fd bytes with Unix.Unix_error _ -> ());
         go ()
     | P_ticket (tk, framed) ->
-        let cont =
-          match send framed (Shard.await t.shard tk) with
-          | ok, outcome, bytes ->
-              finish_ticket t tk ~outcome ~bytes;
-              ok
-          | exception Unix.Unix_error _ ->
-              (* client went away mid-write: the request still ran *)
-              finish_ticket t tk ~outcome:"dropped" ~bytes:0;
-              false
+        let out = Shard.await t.shard tk in
+        let delivery =
+          (* client went away mid-write: the request still ran *)
+          try send framed out with Unix.Unix_error _ -> Shard.Dropped
         in
-        if cont then go () else safe_close fd
-    | P_done (out, framed) ->
-        if (try match send framed out with ok, _, _ -> ok with Unix.Unix_error _ -> false)
-        then go ()
-        else safe_close fd
+        (* exactly once per ticket — the writer is its only consumer *)
+        Shard.finish t.access_log tk out delivery;
+        (match delivery with Shard.Sent _ -> go () | Shard.Dropped -> safe_close fd)
+    | P_done (out, framed) -> (
+        match send framed out with
+        | Shard.Sent _ -> go ()
+        | Shard.Dropped | (exception Unix.Unix_error _) -> safe_close fd)
   in
   go ()
 

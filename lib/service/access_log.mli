@@ -12,10 +12,12 @@
      "apply_ns":N,"commit_wait_ns":N}
     v}
     [shard] is [-1] for cross-shard barrier requests; [outcome] is
-    ["ok"], ["err:<code>"] or ["crashed"]; [bytes] is the reply's wire
-    size; the [*_ns] phase fields are 0 for requests that never entered
-    that phase. Rids, timings and everything else here are log-side
-    diagnostics under the determinism contract — never counters. *)
+    ["ok"], ["err:<code>"], ["dropped"] (the client went away before
+    the reply was written) or ["crashed"] ({!Shard.finish} names them);
+    [bytes] is the reply's wire size; the [*_ns] phase fields are 0 for
+    requests that never entered that phase. Rids, timings and
+    everything else here are log-side diagnostics under the determinism
+    contract — never counters. *)
 
 type t
 

@@ -5,10 +5,20 @@ module Failpoint = Aa_fault.Failpoint
 
 let ( let* ) = Result.bind
 
+type stats = {
+  admitted : int;
+  active : int;
+  utility : float;
+  degraded : bool;
+  policy : Online.policy;
+  drift : float;
+  splices : int;
+  resolves : int;
+  interval : (float * float * float) option;
+}
+
 type t = {
   online : Online.t;
-  metrics : Metrics.t;
-  clock : unit -> float;
   journal : Journal.t option;
   journal_retries : int;
   retry_backoff_s : float;
@@ -62,14 +72,12 @@ let policy_name : Online.policy -> string = function
   | Online.Incremental -> "incremental"
   | Online.Auto _ -> "auto"
 
-let create ?(clock = Aa_obs.Clock.now_s) ?journal ?(journal_retries = 2)
+let create ?journal ?(journal_retries = 2)
     ?(retry_backoff_s = 1e-3) ?(coarsen_eps = 0.0) ?policy ~servers ~capacity () =
   if coarsen_eps < 0.0 || not (Float.is_finite coarsen_eps) then
     invalid_arg "Engine.create: coarsen_eps must be finite and >= 0";
   {
     online = Online.create ?policy ~servers ~capacity ();
-    metrics = Metrics.create ();
-    clock;
     journal;
     journal_retries;
     retry_backoff_s;
@@ -81,17 +89,49 @@ let create ?(clock = Aa_obs.Clock.now_s) ?journal ?(journal_retries = 2)
 let servers t = Online.servers t.online
 let capacity t = Online.capacity t.online
 let online t = t.online
-let metrics t = t.metrics
 let journal t = t.journal
 let degraded t = t.degraded
 let n_admitted t = Online.n_admitted t.online
 let n_active t = Online.n_active t.online
 let total_utility t = Online.total_utility t.online
 let utility_interval t = t.interval
-let policy t = Online.policy t.online
-let drift_bound t = Online.drift_bound t.online
-let splices t = Online.splices t.online
-let resolves t = Online.resolves t.online
+
+let stats t : stats =
+  let ol = t.online in
+  {
+    admitted = Online.n_admitted ol;
+    active = Online.n_active ol;
+    utility = Online.total_utility ol;
+    degraded = t.degraded;
+    policy = Online.policy ol;
+    drift = Online.drift_bound ol;
+    splices = Online.splices ol;
+    resolves = Online.resolves ol;
+    interval = t.interval;
+  }
+
+let stats_report (s : stats) =
+  let gauges =
+    [
+      ("admitted", string_of_int s.admitted);
+      ("active", string_of_int s.active);
+      ("utility", Printf.sprintf "%.9g" s.utility);
+      ("degraded", if s.degraded then "1" else "0");
+      ("policy", policy_name s.policy);
+      ("drift_bound", Printf.sprintf "%.9g" s.drift);
+      ("incremental.splices", string_of_int s.splices);
+      ("incremental.resolves", string_of_int s.resolves);
+    ]
+  in
+  match s.interval with
+  | None -> gauges
+  | Some (lo, hi, alpha) ->
+      gauges
+      @ [
+          ("utility_lower", Printf.sprintf "%.9g" lo);
+          ("utility_upper", Printf.sprintf "%.9g" hi);
+          ("alpha_gap", Printf.sprintf "%.9g" alpha);
+        ]
 
 let err code fmt =
   Printf.ksprintf (fun message -> Protocol.Err { code; message }) fmt
@@ -228,30 +268,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             active = Online.is_active ol i;
           }
       end
-  | Stats ->
-      let gauges =
-        [
-          ("admitted", string_of_int (Online.n_admitted ol));
-          ("active", string_of_int (Online.n_active ol));
-          ("utility", Printf.sprintf "%.9g" (Online.total_utility ol));
-          ("degraded", if t.degraded then "1" else "0");
-          ("policy", policy_name (Online.policy ol));
-          ("drift_bound", Printf.sprintf "%.9g" (Online.drift_bound ol));
-          ("incremental.splices", string_of_int (Online.splices ol));
-          ("incremental.resolves", string_of_int (Online.resolves ol));
-        ]
-      in
-      let interval =
-        match t.interval with
-        | None -> []
-        | Some (lo, hi, alpha) ->
-            [
-              ("utility_lower", Printf.sprintf "%.9g" lo);
-              ("utility_upper", Printf.sprintf "%.9g" hi);
-              ("alpha_gap", Printf.sprintf "%.9g" alpha);
-            ]
-      in
-      Stats_report (gauges @ interval @ Metrics.report t.metrics)
+  | Stats -> Stats_report (stats_report (stats t))
   | Snapshot -> begin
       let done_ compacted =
         Protocol.Snapshot_done
@@ -280,7 +297,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
     end
   | Rebalance ->
       if Online.n_active ol = 0 then begin
-        Metrics.note_gap t.metrics 1.0;
         t.interval <- Some (0.0, 0.0, 0.0);
         (* the empty set's pooled bound is 0, so the certificate closes *)
         Online.note_bound ol ~upper:0.0;
@@ -331,7 +347,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
         Aa_obs.Registry.Gauge.set g_uupper upper;
         Aa_obs.Registry.Gauge.set g_alpha alpha_gap;
         let gap = if offline_u > 0.0 then online_u /. offline_u else 1.0 in
-        Metrics.note_gap t.metrics gap;
         Rebalance_report { online = online_u; offline = offline_u; gap }
       end
   | Trace ->
@@ -352,33 +367,12 @@ let dispatch t (req : Protocol.request) : Protocol.response =
   | Slow ->
       Slow_dump { count = Aa_obs.Rctx.slow_count (); json = Aa_obs.Rctx.slow_json () }
 
-let kind_of : Protocol.request -> string = function
-  | Admit _ -> "admit"
-  | Depart _ -> "depart"
-  | Update _ -> "update"
-  | Query _ -> "query"
-  | Stats -> "stats"
-  | Snapshot -> "snapshot"
-  | Rebalance -> "rebalance"
-  | Trace -> "trace"
-  | Slow -> "slow"
-
-let response_ok : Protocol.response -> bool = function
-  | Err _ -> false
-  | _ -> true
-
 let handle t req =
-  let t0 = t.clock () in
-  let resp =
-    (* belt and braces: a validation hole below must surface as a typed
-       error response, never kill the session loop *)
-    match Aa_obs.Trace.span (kind_of req) (fun () -> dispatch t req) with
-    | resp -> resp
-    | exception Invalid_argument m -> err Bad_request "rejected: %s" m
-  in
-  Metrics.record t.metrics ~kind:(kind_of req) ~ok:(response_ok resp)
-    ~latency:(t.clock () -. t0);
-  resp
+  (* belt and braces: a validation hole below must surface as a typed
+     error response, never kill the session loop *)
+  match Aa_obs.Trace.span (Protocol.kind_of req) (fun () -> dispatch t req) with
+  | resp -> resp
+  | exception Invalid_argument m -> err Bad_request "rejected: %s" m
 
 (* Batch size distribution of the group-commit path. A histogram, not a
    counter: how many mutations share one fsync depends on arrival
@@ -411,7 +405,7 @@ let handle_batch ?ctxs t (reqs : Protocol.request list) : Protocol.response list
   in
   (* Dispatch one request inside its context scope: spans recorded
      during the dispatch are tagged (rid, shard, conn), and the
-     handled-mark starts the group-commit wait clock. *)
+     handled-mark opens the request's group-commit wait. *)
   let run i req =
     match ctx i with
     | None -> handle t req
@@ -454,18 +448,6 @@ let handle_batch ?ctxs t (reqs : Protocol.request list) : Protocol.response list
               let derr = enter_degraded t e in
               List.map (fun r -> if is_mut_ok r then derr else r) resps))
 
-let handle_line t line =
-  match Protocol.tokens line with
-  | [] -> None
-  | _ :: _ -> (
-      let t0 = t.clock () in
-      match Protocol.parse_request ~cap:(capacity t) line with
-      | Ok req -> Some (handle t req)
-      | Error resp ->
-          Metrics.record t.metrics ~kind:"malformed" ~ok:false
-            ~latency:(t.clock () -. t0);
-          Some resp)
-
 let apply t entry =
   let ol = t.online in
   match entry with
@@ -504,12 +486,12 @@ let apply t entry =
         Ok ()
       end
 
-let of_journal ?clock ?fsync ?journal_retries ?retry_backoff_s ?coarsen_eps
+let of_journal ?fsync ?journal_retries ?retry_backoff_s ?coarsen_eps
     ?policy ~path () =
   let* j, entries = Journal.append_to ?fsync ~path () in
   let h = Journal.header j in
   let t =
-    create ?clock ?journal_retries ?retry_backoff_s ?coarsen_eps ?policy
+    create ?journal_retries ?retry_backoff_s ?coarsen_eps ?policy
       ~journal:j ~servers:h.servers ~capacity:h.capacity ()
   in
   let rec go n = function

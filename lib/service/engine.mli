@@ -1,6 +1,8 @@
 (** The allocation daemon's stateful core: an {!Aa_core.Online} placer
-    behind the {!Protocol} request dispatch, with write-ahead journaling
-    and {!Metrics}.
+    behind the {!Protocol} request dispatch, with write-ahead journaling.
+    It is the state machine behind {!Shard}, the daemon's one request
+    path: parsing, queueing, request metrics and acks live there, and an
+    engine sees only typed requests ({!handle}, {!handle_batch}).
 
     Semantics per request:
     - ADMIT: admission control (the utility's domain cap must equal the
@@ -12,7 +14,9 @@
       applied; the thread's server re-divides its capacity.
     - QUERY: read-only thread view (historical server and zero
       allocation for departed threads).
-    - STATS: engine gauges plus {!Metrics.report}.
+    - STATS: the engine's gauges ({!stats_report}); the daemon's STATS
+      is the {!Shard} barrier, which sums these over the shards and
+      appends its request metrics.
     - SNAPSHOT: compacts the journal to a [place]-per-thread state dump
       ({!snapshot_entries}); a no-op (but still [OK]) without a journal.
     - REBALANCE: re-solves the {e active} set offline with
@@ -48,7 +52,6 @@
 type t
 
 val create :
-  ?clock:(unit -> float) ->
   ?journal:Journal.t ->
   ?journal_retries:int ->
   ?retry_backoff_s:float ->
@@ -58,12 +61,10 @@ val create :
   capacity:float ->
   unit ->
   t
-(** [clock] (default {!Aa_obs.Clock.now_s}, the sanctioned monotonized
-    wall clock) timestamps requests for the latency metrics; tests may
-    pass a fake. A failed journal append is retried [journal_retries]
-    times (default 2) with exponential backoff starting at
-    [retry_backoff_s] seconds (default 1e-3) before the engine
-    degrades. [coarsen_eps > 0] makes REBALANCE solve a certified
+(** A failed journal append is retried [journal_retries] times
+    (default 2) with exponential backoff starting at [retry_backoff_s]
+    seconds (default 1e-3) before the engine degrades.
+    [coarsen_eps > 0] makes REBALANCE solve a certified
     eps-coarsened copy of the active instance ({!Aa_utility.Plc.coarsen})
     and report the guaranteed utility interval; 0 (default) solves at
     full resolution. [policy] selects the online maintenance strategy
@@ -74,7 +75,6 @@ val create :
 val servers : t -> int
 val capacity : t -> float
 val online : t -> Aa_core.Online.t
-val metrics : t -> Metrics.t (* aa-lint: ignore unused-export -- service introspection API *)
 val journal : t -> Journal.t option
 
 val degraded : t -> bool
@@ -85,25 +85,6 @@ val n_admitted : t -> int
 val n_active : t -> int
 val total_utility : t -> float
 
-val policy : t -> Aa_core.Online.policy (* aa-lint: ignore unused-export -- service introspection API *)
-(** The online maintenance policy the engine was created with (also the
-    [policy] STATS key). *)
-
-val drift_bound : t -> float
-(** {!Aa_core.Online.drift_bound} of the underlying placer: certified
-    upper bound on how far the serving utility sits below the pooled
-    superopt bound. Exported as the [engine.drift_bound] gauge and the
-    [drift_bound] STATS key; REBALANCE re-certifies (tightens) it. *)
-
-val splices : t -> int
-(** Incremental piece-order splices performed by the placer
-    ([engine.incremental.splices] gauge, [incremental.splices] STATS). *)
-
-val resolves : t -> int
-(** Full re-solves performed by the placer — {!Aa_core.Online.Auto}
-    triggers ([engine.incremental.resolves] gauge,
-    [incremental.resolves] STATS). *)
-
 val utility_interval : t -> (float * float * float) option
 (** The last REBALANCE's certified [(lower, upper, alpha_gap)]: the
     offline re-solve's exact utility lies in [[lower, upper]]
@@ -113,8 +94,36 @@ val utility_interval : t -> (float * float * float) option
     and [engine.alpha_bound_gap] gauges and the
     [utility_lower]/[utility_upper]/[alpha_gap] STATS keys. *)
 
+type stats = {
+  admitted : int;
+  active : int;
+  utility : float;
+  degraded : bool;
+  policy : Aa_core.Online.policy;  (** the policy the engine was created with *)
+  drift : float;
+      (** {!Aa_core.Online.drift_bound} of the placer: certified upper
+          bound on how far the serving utility sits below the pooled
+          superopt bound ([engine.drift_bound] gauge); REBALANCE
+          re-certifies (tightens) it *)
+  splices : int;  (** incremental piece-order splices of the placer *)
+  resolves : int;  (** full re-solves, {!Aa_core.Online.Auto} triggers *)
+  interval : (float * float * float) option;  (** {!utility_interval} *)
+}
+(** The engine's STATS gauges as values, so {!Shard} can sum them over
+    a barrier cut before rendering. *)
+
+val stats : t -> stats
+
+val stats_report : stats -> (string * string) list
+(** The STATS keys shared by an engine and the sharded aggregate, in
+    order: [admitted], [active], [utility], [degraded], [policy],
+    [drift_bound], [incremental.splices], [incremental.resolves], then
+    [utility_lower]/[utility_upper]/[alpha_gap] when [interval] is
+    set. *)
+
 val handle : t -> Protocol.request -> Protocol.response
-(** Dispatch one request, recording metrics. Never raises. *)
+(** Dispatch one request inside a span named {!Protocol.kind_of}.
+    Never raises (except an armed crash failpoint). *)
 
 val handle_batch :
   ?ctxs:Aa_obs.Rctx.t option array -> t -> Protocol.request list -> Protocol.response list
@@ -138,14 +147,9 @@ val handle_batch :
     marked committed after the group's fsync barrier — the gap is the
     context's group-commit wait. *)
 
-val handle_line : t -> string -> Protocol.response option
-(** Parse and dispatch one wire line. [None] for blank/comment lines
-    (no response is due); malformed lines yield [Some (Err …)] and are
-    counted under the ["malformed"] metrics kind. Never raises. *)
-
 val apply : t -> Journal.entry -> (unit, string) result
-(** Replay path: validate and apply one journal entry without metrics
-    or re-journaling. [Place] entries must arrive in admission order
+(** Replay path: validate and apply one journal entry without
+    re-journaling. [Place] entries must arrive in admission order
     (consecutive ids from the current [n_admitted]). *)
 
 val snapshot_entries : t -> Journal.entry list (* aa-lint: ignore unused-export -- snapshot/restore API, exercised via Journal replay *)
@@ -154,7 +158,6 @@ val snapshot_entries : t -> Journal.entry list (* aa-lint: ignore unused-export 
     total utility exactly. *)
 
 val of_journal :
-  ?clock:(unit -> float) ->
   ?fsync:Journal.fsync_policy ->
   ?journal_retries:int ->
   ?retry_backoff_s:float ->
@@ -163,9 +166,9 @@ val of_journal :
   path:string ->
   unit ->
   (t, string) result
-(** Crash recovery: load the journal (either format version), replay
-    every entry, and keep the journal attached — rewritten in v2
-    framing under the given [fsync] policy — for subsequent appends.
+(** Crash recovery: load the journal, replay every entry, and keep the
+    journal attached — rewritten (dropping any torn tail) under the
+    given [fsync] policy — for subsequent appends.
     Replay runs under [policy]; [Auto] re-solve points are a pure
     function of the journaled mutation sequence, so recovering with the
     same policy the journal was written under reproduces the engine

@@ -133,14 +133,13 @@ let unframe line =
 
 let parse_header line =
   match Protocol.tokens line with
-  | [ "aa-journal"; v; "servers"; m; "capacity"; c ]
-    when v = "1" || v = "2" -> (
+  | [ "aa-journal"; "2"; "servers"; m; "capacity"; c ] -> (
       match (int_of_string_opt m, float_of_string_opt c) with
       | Some servers, Some capacity when servers >= 1 && capacity > 0.0 ->
-          Ok (int_of_string v, { servers; capacity })
+          Ok { servers; capacity }
       | _, _ -> Error "malformed journal header")
-  | "aa-journal" :: v :: _ when v <> "1" && v <> "2" ->
-      Error (Printf.sprintf "unsupported journal version %S (this build reads 1 and 2)" v)
+  | "aa-journal" :: v :: _ when v <> "2" ->
+      Error (Printf.sprintf "unsupported journal version %S (this build reads version 2)" v)
   | _ -> Error "not an aa journal (bad header line)"
 
 (* Convert a spontaneous [Unix_error] (fsync, ftruncate, directory
@@ -222,12 +221,12 @@ let create ?(fsync = Always) ~path ~servers ~capacity () =
           fsyncs = 0;
         })
 
-let load_versioned ~path =
+let load ~path =
   let parse text =
     match String.split_on_char '\n' text with
     | [] -> Error "empty journal"
     | hline :: rest ->
-        let* v, header = parse_header hline in
+        let* header = parse_header hline in
         let ends_with_newline =
           String.length text > 0 && text.[String.length text - 1] = '\n'
         in
@@ -237,20 +236,18 @@ let load_versioned ~path =
            corruption, not a tear, and replay refuses to guess. *)
         let torn_tail tail = tail = [] && not ends_with_newline in
         let entry_of line =
-          if v = 1 then parse_entry ~cap:header.capacity line
-          else
-            match unframe line with
-            | Ok None -> Ok None
-            | Error e -> Error e
-            | Ok (Some payload) -> (
-                (* a framed payload with a valid CRC that still fails to
-                   parse is corruption, never a tear — always hard *)
-                match parse_entry ~cap:header.capacity payload with
-                | Ok ent -> Ok ent
-                | Error e -> Error ("framed entry: " ^ e))
+          match unframe line with
+          | Ok None -> Ok None
+          | Error e -> Error e
+          | Ok (Some payload) -> (
+              (* a framed payload with a valid CRC that still fails to
+                 parse is corruption, never a tear — always hard *)
+              match parse_entry ~cap:header.capacity payload with
+              | Ok ent -> Ok ent
+              | Error e -> Error ("framed entry: " ^ e))
         in
         let rec go lineno acc = function
-          | [] -> Ok (v, header, List.rev acc)
+          | [] -> Ok (header, List.rev acc)
           | line :: tail -> (
               match entry_of line with
               | Ok None -> go (lineno + 1) acc tail
@@ -258,7 +255,7 @@ let load_versioned ~path =
               | Error e ->
                   if torn_tail tail then
                     (* torn final append from a crash mid-write: drop it *)
-                    Ok (v, header, List.rev acc)
+                    Ok (header, List.rev acc)
                   else Error (Printf.sprintf "%s:%d: %s" path lineno e))
         in
         go 2 [] rest
@@ -267,15 +264,11 @@ let load_versioned ~path =
   | text -> parse text
   | exception Sys_error e -> Error e
 
-let load ~path =
-  let* _, header, entries = load_versioned ~path in
-  Ok (header, entries)
-
-(* Atomically rewrite [path] as header + entries (always in v2 framing —
-   this is also the v1 -> v2 upgrade path) and return a channel open for
-   appending. The tmp file is flushed, fsynced (policy permitting) and
-   closed before the rename; the directory is fsynced after it, so a
-   crash leaves either the old journal or the complete new one. *)
+(* Atomically rewrite [path] as header + entries and return a channel
+   open for appending. The tmp file is flushed, fsynced (policy
+   permitting) and closed before the rename; the directory is fsynced
+   after it, so a crash leaves either the old journal or the complete
+   new one. *)
 let rewrite ~fsync ~path ~header entries =
   let tmp = path ^ ".tmp" in
   if Failpoint.fire fp_rewrite then Error "injected fault: journal.rewrite"
@@ -321,7 +314,7 @@ let handle_of ~path ~header ~fsync oc =
   }
 
 let append_to ?(fsync = Always) ~path () =
-  let* _, header, entries = load_versioned ~path in
+  let* header, entries = load ~path in
   let* oc = rewrite ~fsync ~path ~header entries in
   Ok (handle_of ~path ~header ~fsync oc, entries)
 

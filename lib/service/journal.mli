@@ -9,14 +9,14 @@
     [place] entries written by compaction record each thread's
     historical server, so greedy placement decisions survive.
 
-    Framing (format version 2): every entry line is
-    [<len> <crc32> <payload>], where [len] is the payload's byte length
-    and [crc32] its IEEE CRC-32 in lowercase hex ({!Crc32}). A torn
-    final line cannot masquerade as a shorter valid entry (the v1
-    hazard: [depart 12] losing its last byte reads as [depart 1]) —
-    both checks must pass before the payload is even parsed. Version 1
-    journals (unframed payload lines) are still read; the first
-    {!append_to} rewrite upgrades them to version 2 on disk.
+    Framing (format version 2, the only version read or written): every
+    entry line is [<len> <crc32> <payload>], where [len] is the
+    payload's byte length and [crc32] its IEEE CRC-32 in lowercase hex
+    ({!Crc32}). A torn final line cannot masquerade as a shorter valid
+    entry (the hazard of the unframed version 1: [depart 12] losing its
+    last byte read as [depart 1]) — both checks must pass before the
+    payload is even parsed. A version-1 header is refused with an error
+    naming the version.
 
     Entry payload grammar (utility specs as in instance files):
     {v
@@ -90,17 +90,15 @@ val create :
     in place. *)
 
 val load : path:string -> (header * entry list, string) result
-(** Read and parse the whole journal (either format version). Fails on
-    a missing file, a bad header, or a malformed entry — except a torn
-    final line (see above), which is silently dropped. *)
-
-val load_versioned : path:string -> (int * header * entry list, string) result
-(** {!load}, also reporting the on-disk format version (1 or 2). *)
+(** Read and parse the whole journal. Fails on a missing file, a bad
+    or unsupported header, or a malformed entry — except a torn final
+    line (see above), which is silently dropped. *)
 
 val append_to :
   ?fsync:fsync_policy -> path:string -> unit -> (t * entry list, string) result
-(** [load], then atomically rewrite the recovered state (in v2 framing)
-    and reopen for appending: the crash-recovery open. *)
+(** [load], then atomically rewrite the recovered state (dropping any
+    torn tail from disk) and reopen for appending: the crash-recovery
+    open. *)
 
 val append : t -> entry -> (unit, string) result
 (** Frame and write one entry, flush, and fsync per policy. Repairs a

@@ -99,6 +99,17 @@ let print_request = function
   | Trace -> "TRACE"
   | Slow -> "SLOW"
 
+let kind_of = function
+  | Admit _ -> "admit"
+  | Depart _ -> "depart"
+  | Update _ -> "update"
+  | Query _ -> "query"
+  | Stats -> "stats"
+  | Snapshot -> "snapshot"
+  | Rebalance -> "rebalance"
+  | Trace -> "trace"
+  | Slow -> "slow"
+
 let one_line s = String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) s
 let flag b = if b then 1 else 0
 

@@ -93,6 +93,11 @@ val parse_request : cap:float -> string -> (request, response) result
 val print_request : request -> string
 (** Canonical wire form; [parse_request] inverts it. *)
 
+val kind_of : request -> string
+(** The request kind's lower-case name (["admit"], ["query"], …): the
+    span name of its dispatch, its metrics kind and its access-log
+    [kind]. *)
+
 val print_response : response -> string
 (** One line, newline-free (embedded newlines in error messages are
     flattened to spaces). *)

@@ -31,18 +31,7 @@ type ticket = {
 
 (* Per-shard barrier contributions, kept typed so aggregation never
    re-parses a printed response. *)
-type bres =
-  | R_stats of {
-      admitted : int;
-      active : int;
-      utility : float;
-      degraded : bool;
-      interval : (float * float * float) option;
-      drift : float;
-      splices : int;
-      resolves : int;
-    }
-  | R_resp of Protocol.response
+type bres = R_stats of Engine.stats | R_resp of Protocol.response
 
 type bkind = B_stats | B_snapshot | B_rebalance
 
@@ -65,11 +54,9 @@ type t = {
   bcond : Condition.t; (* barrier arrivals and crash aborts *)
   queues : job Queue.t array;
   window_s : float; (* group-commit window: wait this long after wake *)
-  max_batch : int;
   rr : int Atomic.t; (* round-robin admit counter (routing only) *)
-  metrics : Metrics.t; (* dispatch-layer: full queueing + engine latency *)
+  metrics : Metrics.t; (* the daemon's request metrics: queueing + engine latency *)
   mlock : Mutex.t; (* Metrics is not thread-safe; awaits are concurrent *)
-  clock : unit -> float;
   g_active : Aa_obs.Registry.Gauge.t array;
   g_bytes : Aa_obs.Registry.Gauge.t array;
   mutable crashed : string option;
@@ -77,16 +64,9 @@ type t = {
   mutable workers : unit Domain.t array;
 }
 
-let kind_of : Protocol.request -> string = function
-  | Admit _ -> "admit"
-  | Depart _ -> "depart"
-  | Update _ -> "update"
-  | Query _ -> "query"
-  | Stats -> "stats"
-  | Snapshot -> "snapshot"
-  | Rebalance -> "rebalance"
-  | Trace -> "trace"
-  | Slow -> "slow"
+(* Jobs drained per burst: bounds one group commit and the latency a
+   burst adds to the barrier queued behind it. *)
+let max_batch = 256
 
 let server_counts ~servers ~shards =
   if shards < 1 then invalid_arg "Shard.server_counts: shards must be >= 1";
@@ -109,8 +89,6 @@ let ticket ~kind ~t0 ~rctx =
     t_recorded = false;
   }
 
-let rctx tk = tk.t_rctx
-
 (* Fill-once: a barrier ticket is shared by every shard's worker and a
    crash may race a normal delivery — the first outcome wins. *)
 let deliver tk out =
@@ -129,7 +107,8 @@ let record_once t tk out =
   if fresh then begin
     let ok = match out with Reply r -> (match r with Protocol.Err _ -> false | _ -> true) | Crashed _ -> false in
     Mutex.lock t.mlock;
-    Metrics.record t.metrics ~kind:tk.t_kind ~ok ~latency:(t.clock () -. tk.t_t0);
+    Metrics.record t.metrics ~kind:tk.t_kind ~ok
+      ~latency:(Aa_obs.Clock.now_s () -. tk.t_t0);
     Mutex.unlock t.mlock
   end
 
@@ -146,6 +125,25 @@ let await t tk =
   Mutex.unlock tk.t_lock;
   record_once t tk out;
   out
+
+type delivery = Sent of int | Dropped
+
+(* The ack side's close of a ticket: finish stamps the context's total
+   latency (and feeds slow capture), then the access log gets its one
+   record. The outcome names are the access-log schema's. *)
+let finish access_log tk out delivery =
+  match tk.t_rctx with
+  | None -> ()
+  | Some c ->
+      let outcome, bytes =
+        match (out, delivery) with
+        | Crashed _, _ -> ("crashed", 0)
+        | Reply _, Dropped -> ("dropped", 0)
+        | Reply (Protocol.Err { code; _ }), Sent n -> ("err:" ^ Protocol.code_name code, n)
+        | Reply _, Sent n -> ("ok", n)
+      in
+      ignore (Aa_obs.Rctx.finish c ~outcome);
+      Option.iter (fun al -> Access_log.log al c ~outcome ~bytes) access_log
 
 (* ---------- id / server arithmetic ---------- *)
 
@@ -195,20 +193,29 @@ let g_splices = Aa_obs.Registry.gauge "engine.incremental.splices"
 let g_resolves = Aa_obs.Registry.gauge "engine.incremental.resolves"
 
 let local_barrier eng = function
-  | B_stats ->
-      R_stats
-        {
-          admitted = Engine.n_admitted eng;
-          active = Engine.n_active eng;
-          utility = Engine.total_utility eng;
-          degraded = Engine.degraded eng;
-          interval = Engine.utility_interval eng;
-          drift = Engine.drift_bound eng;
-          splices = Engine.splices eng;
-          resolves = Engine.resolves eng;
-        }
+  | B_stats -> R_stats (Engine.stats eng)
   | B_snapshot -> R_resp (Engine.handle eng Protocol.Snapshot)
   | B_rebalance -> R_resp (Engine.handle eng Protocol.Rebalance)
+
+(* Fleet STATS: counts and utilities add up; the engines share one
+   policy. Certified-interval keys appear only once every shard has a
+   REBALANCE behind it: a partial sum would understate the global
+   bounds, so a missing interval anywhere drops them. *)
+let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
+  {
+    a with
+    admitted = a.admitted + b.admitted;
+    active = a.active + b.active;
+    utility = a.utility +. b.utility;
+    degraded = a.degraded || b.degraded;
+    drift = a.drift +. b.drift;
+    splices = a.splices + b.splices;
+    resolves = a.resolves + b.resolves;
+    interval =
+      (match (a.interval, b.interval) with
+      | Some (l, h, g), Some (l', h', g') -> Some (l +. l', h +. h', g +. g')
+      | _, _ -> None);
+  }
 
 let aggregate t (b : barrier) : Protocol.response =
   let results =
@@ -221,76 +228,30 @@ let aggregate t (b : barrier) : Protocol.response =
   in
   match b.bkind with
   | B_stats ->
-      let admitted = ref 0 and active = ref 0 and utility = ref 0.0 and degraded = ref false in
-      let drift = ref 0.0 and splices = ref 0 and resolves = ref 0 in
-      Array.iter
-        (function
-          | R_stats s ->
-              admitted := !admitted + s.admitted;
-              active := !active + s.active;
-              utility := !utility +. s.utility;
-              degraded := !degraded || s.degraded;
-              drift := !drift +. s.drift;
-              splices := !splices + s.splices;
-              resolves := !resolves + s.resolves
-          | R_resp _ -> ())
-        results;
+      let stats =
+        Array.map
+          (function R_stats s -> s | R_resp _ -> invalid_arg "Shard.aggregate: not a STATS cut")
+          results
+      in
+      let sum = Array.fold_left add_stats stats.(0) (Array.sub stats 1 (t.n - 1)) in
+      (* the barrier cut makes the fleet sums a consistent snapshot; the
+         gauges are overwritten so /metrics shows the global view *)
+      Aa_obs.Registry.Gauge.set g_drift sum.drift;
+      Aa_obs.Registry.Gauge.set g_splices (float_of_int sum.splices);
+      Aa_obs.Registry.Gauge.set g_resolves (float_of_int sum.resolves);
       let per_shard =
         List.concat
           (List.init t.n (fun k ->
-               match results.(k) with
-               | R_stats s ->
-                   [
-                     (Printf.sprintf "shard.%d.admitted" k, string_of_int s.admitted);
-                     (Printf.sprintf "shard.%d.active" k, string_of_int s.active);
-                   ]
-               | R_resp _ -> []))
-      in
-      (* fleet sums of the drift certificate and incremental-maintenance
-         volumes; the barrier cut makes them a consistent snapshot, and
-         the gauges are overwritten so /metrics shows the global view *)
-      Aa_obs.Registry.Gauge.set g_drift !drift;
-      Aa_obs.Registry.Gauge.set g_splices (float_of_int !splices);
-      Aa_obs.Registry.Gauge.set g_resolves (float_of_int !resolves);
-      let head =
-        [
-          ("admitted", string_of_int !admitted);
-          ("active", string_of_int !active);
-          ("utility", Printf.sprintf "%.9g" !utility);
-          ("degraded", (if !degraded then "1" else "0"));
-          ("drift_bound", Printf.sprintf "%.9g" !drift);
-          ("incremental.splices", string_of_int !splices);
-          ("incremental.resolves", string_of_int !resolves);
-          ("shards", string_of_int t.n);
-        ]
-      in
-      (* Certified-interval keys appear only once every shard has a
-         REBALANCE behind it: a partial sum would understate the global
-         bounds, so mixed Some/None drops the keys entirely. *)
-      let acc = ref (Some (0.0, 0.0, 0.0)) in
-      Array.iter
-        (function
-          | R_stats { interval = Some (lo, hi, a); _ } -> (
-              match !acc with
-              | Some (l, h, g) -> acc := Some (l +. lo, h +. hi, g +. a)
-              | None -> ())
-          | R_stats { interval = None; _ } -> acc := None
-          | R_resp _ -> ())
-        results;
-      let interval =
-        match !acc with
-        | Some (lo, hi, a) ->
-            [
-              ("utility_lower", Printf.sprintf "%.9g" lo);
-              ("utility_upper", Printf.sprintf "%.9g" hi);
-              ("alpha_gap", Printf.sprintf "%.9g" a);
-            ]
-        | None -> []
+               [
+                 (Printf.sprintf "shard.%d.admitted" k, string_of_int stats.(k).admitted);
+                 (Printf.sprintf "shard.%d.active" k, string_of_int stats.(k).active);
+               ]))
       in
       Mutex.lock t.mlock;
       let m = Metrics.report t.metrics in
       Mutex.unlock t.mlock;
-      Stats_report (head @ interval @ per_shard @ m)
+      Stats_report
+        (Engine.stats_report sum @ [ ("shards", string_of_int t.n) ] @ per_shard @ m)
   | B_snapshot -> (
       let err = ref None in
       let active = ref 0 and admitted = ref 0 and utility = ref 0.0 and compacted = ref true in
@@ -340,6 +301,9 @@ let aggregate t (b : barrier) : Protocol.response =
              Aa_obs.Registry.Gauge.set g_alpha !alpha
            end);
           let gap = if !offline > 0.0 then !online /. !offline else 1.0 in
+          Mutex.lock t.mlock;
+          Metrics.note_gap t.metrics gap;
+          Mutex.unlock t.mlock;
           Rebalance_report { online = !online; offline = !offline; gap })
 
 (* Arrival phase, then local compute, then the last shard aggregates.
@@ -408,7 +372,7 @@ let process t ~shard eng jobs =
   | Some j -> Aa_obs.Registry.Gauge.set t.g_bytes.(shard) (float_of_int (Journal.bytes j))
   | None -> ()
 
-let drain_queue q max_batch =
+let drain_queue q =
   let rec go acc k =
     if k >= max_batch || Queue.is_empty q then List.rev acc else go (Queue.pop q :: acc) (k + 1)
   in
@@ -432,7 +396,7 @@ let worker t shard () =
         Unix.sleepf t.window_s;
         Mutex.lock t.lock
       end;
-      let jobs = drain_queue t.queues.(shard) t.max_batch in
+      let jobs = drain_queue t.queues.(shard) in
       let crashed = t.crashed in
       Mutex.unlock t.lock;
       (match crashed with
@@ -457,7 +421,7 @@ let worker t shard () =
 
 (* ---------- construction ---------- *)
 
-let create ?(window_s = 0.0) ?(max_batch = 256) engines =
+let create ?(window_s = 0.0) engines =
   let n = Array.length engines in
   if n < 1 then invalid_arg "Shard.create: need at least one engine";
   let cap = Engine.capacity engines.(0) in
@@ -468,7 +432,6 @@ let create ?(window_s = 0.0) ?(max_batch = 256) engines =
     engines;
   if window_s < 0.0 || not (Float.is_finite window_s) then
     invalid_arg "Shard.create: negative group-commit window";
-  if max_batch < 1 then invalid_arg "Shard.create: max_batch must be >= 1";
   let bases = Array.make n 0 in
   for s = 1 to n - 1 do
     bases.(s) <- bases.(s - 1) + Engine.servers engines.(s - 1)
@@ -484,11 +447,9 @@ let create ?(window_s = 0.0) ?(max_batch = 256) engines =
       bcond = Condition.create ();
       queues = Array.init n (fun _ -> Queue.create ());
       window_s;
-      max_batch;
       rr = Atomic.make admitted;
       metrics = Metrics.create ();
       mlock = Mutex.create ();
-      clock = Aa_obs.Clock.now_s;
       g_active =
         Array.init n (fun k ->
             Aa_obs.Registry.gauge (Printf.sprintf "shard.%d.active_threads" k));
@@ -551,12 +512,13 @@ let enqueue_one t s job =
    argument for the arrival phase); TRACE reads the process-global span
    buffer and rides shard 0's queue. *)
 let post ?conn t (req : Protocol.request) : ticket =
+  let kind = Protocol.kind_of req in
   let rctx =
     if Aa_obs.Rctx.enabled () then
-      Some (Aa_obs.Rctx.create ~kind:(kind_of req) ~conn:(Option.value conn ~default:0))
+      Some (Aa_obs.Rctx.create ~kind ~conn:(Option.value conn ~default:0))
     else None
   in
-  let tk = ticket ~kind:(kind_of req) ~t0:(t.clock ()) ~rctx in
+  let tk = ticket ~kind ~t0:(Aa_obs.Clock.now_s ()) ~rctx in
   let local ~shard req =
     (match rctx with Some c -> Aa_obs.Rctx.set_shard c shard | None -> ());
     Request { req; ticket = tk } |> enqueue_one t shard
@@ -601,12 +563,13 @@ let post_line ?conn t line =
   match Protocol.tokens line with
   | [] -> `Blank
   | _ :: _ -> (
-      let t0 = t.clock () in
+      let t0 = Aa_obs.Clock.now_s () in
       match Protocol.parse_request ~cap:(capacity t) line with
       | Ok req -> `Ticket (post ?conn t req)
       | Error resp ->
           Mutex.lock t.mlock;
-          Metrics.record t.metrics ~kind:"malformed" ~ok:false ~latency:(t.clock () -. t0);
+          Metrics.record t.metrics ~kind:"malformed" ~ok:false
+            ~latency:(Aa_obs.Clock.now_s () -. t0);
           Mutex.unlock t.mlock;
           `Immediate (Reply resp))
 

@@ -1,14 +1,17 @@
 (** Sharded multi-engine dispatch: N {!Engine}s — each owning a
     contiguous block of servers, its own journal and one parked worker
-    domain — behind a single {!Protocol} surface.
+    domain — behind a single {!Protocol} surface. It is the daemon's
+    only request path: [aa_serve] runs every session through it, stdin
+    and sockets alike, at any shard count.
 
     {b Routing.} The thread with shard-local id [l] on shard [s] has
     global id [g = l*n + s]; [s = g mod n] and [l = g / n] route
     DEPART/UPDATE/QUERY by pure arithmetic. ADMITs round-robin across
     shards. Servers map as [global = server_base(s) + local], with
     shard [s] owning [m/n (+1 for s < m mod n)] servers. With [n = 1]
-    every mapping is the identity and wire output is byte-identical to
-    the plain engine's.
+    every mapping is the identity: every reply except STATS is
+    byte-identical to the one engine's own {!Engine.handle} reply, and
+    the journal is the same file.
 
     {b Group commit.} Each worker drains its queue in FIFO bursts and
     runs every burst of consecutive requests through
@@ -23,9 +26,16 @@
     computing, so the aggregated report is a consistent cut: every
     mutation queued before the barrier is flushed, none after it has
     started. REBALANCE sums per-shard online/offline utilities and
-    reports the global gap; STATS sums gauges and appends per-shard
-    [shard.K.admitted]/[shard.K.active] entries plus the dispatch-layer
-    metrics.
+    reports the global gap; STATS sums the engines' {!Engine.stats},
+    renders them with {!Engine.stats_report}, and appends [shards],
+    per-shard [shard.K.admitted]/[shard.K.active] entries and the
+    request metrics.
+
+    {b Request metrics.} The dispatcher is the daemon's one
+    {!Metrics} store: every request is recorded when first awaited,
+    with its latency from {!post} (queueing included), malformed lines
+    under the ["malformed"] kind; the summed REBALANCE gap is noted as
+    [rebalance.gap].
 
     {b Crashes.} A {!Aa_fault.Failpoint.Crash} raised in any worker
     (the simulated process death) marks the whole group crashed: every
@@ -63,12 +73,12 @@ val server_counts : servers:int -> shards:int -> int array
     [m/n + (1 if s < m mod n)] per shard. Raises [Invalid_argument]
     when [servers < shards] (every shard needs at least one server). *)
 
-val create : ?window_s:float -> ?max_batch:int -> Engine.t array -> t
+val create : ?window_s:float -> Engine.t array -> t
 (** Spawn one worker domain per engine. The engines' server counts
     define the shard blocks (build them with {!server_counts} for the
     canonical partition); all engines must share one capacity.
-    [window_s] (default 0) is the group-commit accumulation window;
-    [max_batch] (default 256) caps jobs drained per burst. *)
+    [window_s] (default 0) is the group-commit accumulation window; a
+    burst drains at most 256 jobs. *)
 
 val shards : t -> int
 val capacity : t -> float
@@ -103,14 +113,19 @@ val post : ?conn:int -> t -> Protocol.request -> ticket
     {!Aa_obs.Rctx.enabled}, a fresh request context is attached to the
     ticket, tagged with [conn] (default 0, the stdin pseudo-connection). *)
 
-val rctx : ticket -> Aa_obs.Rctx.t option
-(** The ticket's request context, for the acking thread to
-    {!Aa_obs.Rctx.finish} (and access-log) after the reply is sent.
-    [None] when the Rctx layer was off at {!post} time. *)
-
 val await : t -> ticket -> outcome
 (** Block until the ticket resolves. First await records the request's
-    dispatch-layer latency metric. *)
+    latency metric. *)
+
+type delivery =
+  | Sent of int  (** the reply was written; its wire size in bytes *)
+  | Dropped  (** nothing was written: the client went away, or the group crashed *)
+
+val finish : Access_log.t option -> ticket -> outcome -> delivery -> unit
+(** The ack side's close of an awaited ticket, once per ticket: finish
+    its request context ({!Aa_obs.Rctx.finish}) with outcome ["ok"],
+    ["err:<code>"], ["dropped"] or ["crashed"], then append its
+    {!Access_log} record. A no-op when the ticket has no context. *)
 
 val submit : t -> Protocol.request -> outcome
 (** [await t (post t req)]. *)

@@ -138,3 +138,15 @@ let count_substring haystack needle =
     done;
     !acc
   end
+
+(* One wire line through a bare engine, no dispatcher:
+   [Protocol.parse_request], then [Engine.handle]. [None] for
+   blank/comment lines; a malformed line yields its parse error. *)
+let engine_line e line =
+  let open Aa_service in
+  match Protocol.tokens line with
+  | [] -> None
+  | _ :: _ -> (
+      match Protocol.parse_request ~cap:(Engine.capacity e) line with
+      | Ok req -> Some (Engine.handle e req)
+      | Error resp -> Some resp)

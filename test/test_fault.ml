@@ -193,10 +193,11 @@ let test_compact_failure_keeps_appending () =
     (List.map Journal.print_entry entries);
   Sys.remove path
 
-(* The v1 hazard this whole format revision exists for: a torn final
-   line of [depart 12] reads back as the valid, wrong entry
-   [depart 1]. With v2 length+CRC framing the torn line cannot pass its
-   checks and is dropped as a tail. *)
+(* The hazard the v2 framing exists for: a torn final line of
+   [depart 12] read back by the unframed v1 format as the valid, wrong
+   entry [depart 1]. With length+CRC framing the torn line cannot pass
+   its checks and is dropped as a tail; the recovery open's rewrite then
+   removes the torn bytes from disk. *)
 let test_torn_tail_cannot_masquerade () =
   let path = Filename.temp_file "aa_fault_torn" ".log" in
   let j = or_fail (Journal.create ~path ~servers:2 ~capacity:cap ()) in
@@ -213,49 +214,26 @@ let test_torn_tail_cannot_masquerade () =
   Alcotest.(check (list string)) "torn depart dropped, not misread"
     [ Journal.print_entry (Journal.Admit u_pow) ]
     (List.map Journal.print_entry entries);
-  (* contrast: the same tear in a v1 journal IS silently misread — kept
-     here as documentation of what the framing buys *)
+  let j, recovered = or_fail (Journal.append_to ~fsync:Journal.Never ~path ()) in
+  Journal.close j;
+  (* framed lines really are framed: line 2 must equal frame_entry *)
+  (match
+     String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+   with
+  | [ _header; l2; "" ] ->
+      Alcotest.(check string) "line is <len> <crc> <payload>"
+        (Journal.frame_entry (List.hd recovered))
+        l2
+  | lines -> Alcotest.failf "rewrite kept %d line(s), want 2" (List.length lines - 1));
+  (* the unframed v1 format is refused outright, naming the version *)
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc
         "aa-journal 1 servers 2 capacity 10\ndepart 1");
-  let _, entries = or_fail (Journal.load ~path) in
-  Alcotest.(check (list string)) "v1 false-accept (the fixed hazard)"
-    [ "depart 1" ]
-    (List.map Journal.print_entry entries);
-  Sys.remove path
-
-let test_v1_read_compat_and_upgrade () =
-  let path = Filename.temp_file "aa_fault_v1" ".log" in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc
-        "aa-journal 1 servers 2 capacity 10\nadmit power 4 0.5\ndepart 0\n");
-  let v, h, entries = or_fail (Journal.load_versioned ~path) in
-  Alcotest.(check int) "reads as version 1" 1 v;
-  Alcotest.(check int) "servers" 2 h.Journal.servers;
-  Alcotest.(check (list string)) "v1 entries"
-    [ "admit power 4 0.5"; "depart 0" ]
-    (List.map Journal.print_entry entries);
-  (* the recovery open rewrites in v2 framing: the on-disk upgrade *)
-  let j, recovered = or_fail (Journal.append_to ~fsync:Journal.Never ~path ()) in
-  Alcotest.(check int) "append_to recovers both entries" 2
-    (List.length recovered);
-  unit_or_fail (Journal.append j (Journal.Admit u_log));
-  Journal.close j;
-  let v, _, entries = or_fail (Journal.load_versioned ~path) in
-  Alcotest.(check int) "now version 2 on disk" 2 v;
-  Alcotest.(check (list string)) "entries survive the upgrade"
-    [ "admit power 4 0.5"; "depart 0"; Journal.print_entry (Journal.Admit u_log) ]
-    (List.map Journal.print_entry entries);
-  (* framed lines really are framed: line 2 must equal frame_entry *)
-  let lines =
-    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
-  in
-  (match lines with
-  | _header :: l2 :: _ ->
-      Alcotest.(check string) "line is <len> <crc> <payload>"
-        (Journal.frame_entry (List.hd entries))
-        l2
-  | _ -> Alcotest.fail "journal shorter than expected");
+  (match Journal.load ~path with
+  | Ok _ -> Alcotest.fail "v1 journal accepted"
+  | Error e ->
+      if not (contains ~needle:"version \"1\"" e) then
+        Alcotest.failf "v1 refusal should name the version: %s" e);
   Sys.remove path
 
 let test_append_failure_repairs_tail () =
@@ -332,7 +310,7 @@ let test_group_commit_amortizes_fsyncs () =
 (* ---------- engine: cap tolerance + degraded mode ---------- *)
 
 let send e line =
-  match Engine.handle_line e line with
+  match Helpers.engine_line e line with
   | Some r -> r
   | None -> Alcotest.failf "no response to %S" line
 
@@ -544,7 +522,7 @@ let drive e rng steps =
            | _ -> Printf.sprintf "QUERY %d" (pick ())
          end
        in
-       match Engine.handle_line e line with
+       match Helpers.engine_line e line with
        | Some (Protocol.Admitted { id; _ }) ->
            incr acked;
            active := id :: !active
@@ -782,7 +760,7 @@ let test_serve_faults_from_env () =
   let _, err =
     run_serve ~env:"AA_FAULTS=engine.dispatch=nth:1" ~expect:70
       [ "--servers"; "2"; "--capacity"; "10" ]
-      "STATS\n"
+      "QUERY 0\n"
   in
   if not (contains ~needle:"engine.dispatch" err) then
     Alcotest.failf "env-armed crash not reported: %s" err
@@ -846,8 +824,6 @@ let () =
             test_compact_failure_keeps_appending;
           Alcotest.test_case "torn tail cannot masquerade" `Quick
             test_torn_tail_cannot_masquerade;
-          Alcotest.test_case "v1 read compat + upgrade" `Quick
-            test_v1_read_compat_and_upgrade;
           Alcotest.test_case "append failure repairs tail" `Quick
             test_append_failure_repairs_tail;
           Alcotest.test_case "fsync policy strings" `Quick

@@ -162,7 +162,7 @@ let test_single_shard_wire_identity () =
   List.iter
     (fun line ->
       let want =
-        Option.map Protocol.print_response (Engine.handle_line plain line)
+        Option.map Protocol.print_response (Helpers.engine_line plain line)
       in
       let got =
         match Shard.handle_line sh line with

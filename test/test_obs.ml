@@ -742,9 +742,7 @@ let test_rctx_slow_capture () =
 (* ---------- engine phase spans ---------- *)
 
 let test_engine_phase_spans () =
-  let engine =
-    Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 ()
-  in
+  let engine = Aa_service.Engine.create ~servers:2 ~capacity:10.0 () in
   let resp = Aa_service.Engine.handle engine (Aa_service.Protocol.Admit
     (Aa_utility.Utility.Shapes.power ~cap:10.0 ~coeff:1.0 ~beta:0.5)) in
   (match resp with
@@ -763,9 +761,7 @@ let test_engine_phase_spans () =
   Alcotest.(check int) "balanced" 0 (Trace.unbalanced ())
 
 let test_engine_trace_request () =
-  let engine =
-    Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 ()
-  in
+  let engine = Aa_service.Engine.create ~servers:2 ~capacity:10.0 () in
   ignore
     (Aa_service.Engine.handle engine
        (Aa_service.Protocol.Admit
@@ -780,7 +776,7 @@ let test_engine_trace_request () =
 
 let test_trace_request_disabled () =
   Control.set_enabled false;
-  let engine = Aa_service.Engine.create ~clock:(fun () -> 0.0) ~servers:2 ~capacity:10.0 () in
+  let engine = Aa_service.Engine.create ~servers:2 ~capacity:10.0 () in
   match Aa_service.Engine.handle engine Aa_service.Protocol.Trace with
   | Aa_service.Protocol.Trace_dump { events; json } ->
       Alcotest.(check int) "no events" 0 events;

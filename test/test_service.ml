@@ -209,7 +209,7 @@ let test_journal_rejects_garbage () =
   (* a malformed line that is NOT a torn tail (newline-terminated) is an error *)
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc
-        "aa-journal 1 servers 2 capacity 10\nfrob 1\nadmit linear 1\n");
+        "aa-journal 2 servers 2 capacity 10\nfrob 1\nadmit linear 1\n");
   (match Journal.load ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mid-file garbage accepted");
@@ -224,7 +224,7 @@ let test_journal_rejects_garbage () =
 (* ---------- engine ---------- *)
 
 let send e line =
-  match Engine.handle_line e line with
+  match Helpers.engine_line e line with
   | Some r -> r
   | None -> Alcotest.failf "no response to %S" line
 
@@ -274,8 +274,36 @@ let test_engine_session () =
         | None -> Alcotest.failf "missing stats key %s" k
       in
       Alcotest.(check string) "admitted" "2" (get "admitted");
-      Alcotest.(check string) "active" "1" (get "active");
+      Alcotest.(check string) "active" "1" (get "active")
+  | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r)
+
+(* The request metrics live in the dispatcher: the same session through
+   a one-engine Shard reports per-kind counts, the malformed line and
+   the REBALANCE gap next to the engine's gauges. *)
+let test_shard_request_metrics () =
+  let sh = Shard.create [| Engine.create ~servers:2 ~capacity:cap () |] in
+  Fun.protect ~finally:(fun () -> Shard.shutdown sh) @@ fun () ->
+  let send line =
+    match Shard.handle_line sh line with
+    | Some (Shard.Reply r) -> r
+    | Some (Shard.Crashed name) -> Alcotest.failf "%S crashed at %s" line name
+    | None -> Alcotest.failf "no response to %S" line
+  in
+  List.iter
+    (fun line -> ignore (send line))
+    [ "ADMIT capped 1 10"; "ADMIT capped 1 10"; "REBALANCE"; "NOPE"; "DEPART 0" ];
+  match send "STATS" with
+  | Protocol.Stats_report kvs ->
+      let get k =
+        match List.assoc_opt k kvs with
+        | Some v -> v
+        | None -> Alcotest.failf "missing stats key %s" k
+      in
+      Alcotest.(check string) "admitted" "2" (get "admitted");
+      Alcotest.(check string) "policy" "incremental" (get "policy");
       Alcotest.(check string) "admit.ok" "2" (get "admit.ok");
+      Alcotest.(check string) "malformed.err" "1" (get "malformed.err");
+      Alcotest.(check string) "requests" "5" (get "requests");
       Alcotest.(check string) "rebalance gap" "1.000000" (get "rebalance.gap")
   | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r)
 
@@ -329,7 +357,7 @@ let test_engine_policy_and_drift_stats () =
         (int_of_string (get "incremental.splices") >= 2);
       Alcotest.(check bool) "drift bound exported" true (get "drift_bound" <> "")
   | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r));
-  Alcotest.(check bool) "policy accessor" true (Engine.policy e = Online.Incremental);
+  Alcotest.(check bool) "policy field" true ((Engine.stats e).policy = Online.Incremental);
   (* a Full-policy engine reaches the identical state *)
   let ef = Engine.create ~policy:Online.Full ~servers:2 ~capacity:cap () in
   ignore (expect_ok ef "ADMIT linear 1");
@@ -339,7 +367,7 @@ let test_engine_policy_and_drift_stats () =
   (* REBALANCE re-certifies the published drift bound; this placement is
      offline-optimal, so the certificate closes completely *)
   ignore (expect_ok e "REBALANCE");
-  Helpers.check_float ~eps:1e-9 "bound closed by rebalance" 0.0 (Engine.drift_bound e)
+  Helpers.check_float ~eps:1e-9 "bound closed by rebalance" 0.0 (Engine.stats e).drift
 
 let test_engine_auto_policy_replay () =
   let path = Filename.temp_file "aa_auto" ".log" in
@@ -352,14 +380,15 @@ let test_engine_auto_policy_replay () =
   ignore (expect_ok e "ADMIT capped 1 10");
   ignore (expect_ok e "ADMIT capped 2 10");
   ignore (expect_ok e "DEPART 1");
-  Alcotest.(check bool) "auto re-solved" true (Engine.resolves e >= 1);
+  Alcotest.(check bool) "auto re-solved" true ((Engine.stats e).resolves >= 1);
   Helpers.check_float "regret recovered" 30.0 (Engine.total_utility e);
   (* recovery under the same policy replays the same re-solve points:
      counts, placements and totals all reproduce *)
   (match Engine.of_journal ~policy ~path () with
   | Error msg -> Alcotest.failf "replay: %s" msg
   | Ok e2 ->
-      Alcotest.(check int) "replayed re-solves" (Engine.resolves e) (Engine.resolves e2);
+      Alcotest.(check int) "replayed re-solves" (Engine.stats e).resolves
+        (Engine.stats e2).resolves;
       Helpers.check_float "replayed total" (Engine.total_utility e)
         (Engine.total_utility e2);
       let ol = Engine.online e and ol2 = Engine.online e2 in
@@ -467,7 +496,7 @@ let test_fuzz_never_kills_engine () =
       | 3 -> "UPDATE 0 " ^ garbage_line rng
       | _ -> "\t " ^ garbage_line rng
     in
-    match Engine.handle_line e line with
+    match Helpers.engine_line e line with
     | None -> ()
     | Some (Protocol.Err _) -> incr errs
     | Some (Protocol.Admitted _ | Protocol.Departed _ | Protocol.Updated _) ->
@@ -562,7 +591,7 @@ let scripted_session e rng steps =
         | _ -> Printf.sprintf "QUERY %d" (pick ())
       end
     in
-    (match Engine.handle_line e line with
+    (match Helpers.engine_line e line with
     | Some (Protocol.Admitted { id; _ }) -> active := id :: !active
     | Some (Protocol.Departed { id }) ->
         active := List.filter (fun x -> x <> id) !active
@@ -723,14 +752,11 @@ let test_daemon_telemetry_flags () =
   Sys.remove log
 
 let test_daemon_rebalance_policy_flags () =
-  let out =
-    run_serve
-      [ "-m"; "2"; "-C"; "10"; "--rebalance-policy"; "full" ]
-      "ADMIT capped 1 10\nSTATS\n"
-  in
+  let out = run_serve [ "-m"; "2"; "-C"; "10" ] "ADMIT capped 1 10\nSTATS\n" in
   (match response_lines out with
   | [ _; stats ] ->
-      Alcotest.(check bool) "policy reported" true (Helpers.contains stats "policy=full")
+      Alcotest.(check bool) "default policy reported" true
+        (Helpers.contains stats "policy=incremental")
   | ls -> Alcotest.failf "expected 2 responses, got %d:\n%s" (List.length ls) out);
   let out =
     run_serve
@@ -758,7 +784,33 @@ let test_daemon_rebalance_policy_flags () =
         (Helpers.contains stats "incremental.resolves=")
   | ls -> Alcotest.failf "expected 3 responses, got %d:\n%s" (List.length ls) out);
   ignore (run_serve ~expect:1 [ "--rebalance-policy"; "sometimes" ] "");
+  (* the from-scratch reference path is a test oracle, not a daemon mode *)
+  ignore (run_serve ~expect:1 [ "--rebalance-policy"; "full" ] "");
   ignore (run_serve ~expect:1 [ "--drift-frac"; "1.5" ] "")
+
+(* Every stdin session runs through the sharded dispatcher, so STATS
+   carries the engines' policy, the dispatcher's request metrics and the
+   summed REBALANCE gap at any shard count. *)
+let test_daemon_stats_keys () =
+  List.iter
+    (fun shards ->
+      let out =
+        run_serve
+          [ "-m"; "2"; "-C"; "10"; "--shards"; shards ]
+          "ADMIT linear 1\nNOPE\nREBALANCE\nSTATS\n"
+      in
+      match response_lines out with
+      | [ _; _; _; stats ] ->
+          List.iter
+            (fun key ->
+              if not (Helpers.contains stats key) then
+                Alcotest.failf "--shards %s: STATS lacks %s: %s" shards key stats)
+            [
+              "policy=incremental"; "rebalance.gap=1.000000"; "shards=" ^ shards;
+              "malformed.err=1";
+            ]
+      | ls -> Alcotest.failf "expected 4 responses, got %d:\n%s" (List.length ls) out)
+    [ "1"; "2" ]
 
 let test_daemon_flag_validation () =
   ignore (run_serve ~expect:1 [ "--replay" ] "");
@@ -805,6 +857,7 @@ let () =
           Alcotest.test_case "coarsen interval" `Quick test_engine_coarsen_interval;
           Alcotest.test_case "malformed fuzz" `Quick test_fuzz_never_kills_engine;
         ] );
+      ("shard", [ Alcotest.test_case "request metrics" `Quick test_shard_request_metrics ]);
       ( "recovery",
         [
           Alcotest.test_case "every prefix replays" `Slow
@@ -817,6 +870,7 @@ let () =
           Alcotest.test_case "telemetry flags" `Quick test_daemon_telemetry_flags;
           Alcotest.test_case "rebalance policy flags" `Quick
             test_daemon_rebalance_policy_flags;
+          Alcotest.test_case "STATS keys at 1 and 2 shards" `Quick test_daemon_stats_keys;
           Alcotest.test_case "flag validation" `Quick test_daemon_flag_validation;
         ] );
       Helpers.qsuite "properties" [ prop_parse_total ];
