@@ -303,38 +303,6 @@ let speedup () =
 
 module Plc = Aa_utility.Plc
 
-(* Sort-based reference allocator: the pre-flat-kernel algorithm
-   (materialize every positive-slope piece globally, sort by slope desc
-   / thread asc, pour). Kept here as the baseline the merge kernel is
-   measured — and bit-checked — against; the recorded speedup is
-   reference/merge, so a kernel slowdown shows up as regression:true. *)
-let reference_allocate ~budget fs =
-  let n = Array.length fs in
-  let pieces = ref [] in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun (s : Plc.segment) ->
-        if s.slope > 0.0 then pieces := (i, s.x1 -. s.x0, s.slope) :: !pieces)
-      (Plc.segments fs.(i))
-  done;
-  let pieces = Array.of_list !pieces in
-  Array.sort
-    (fun (t1, _, s1) (t2, _, s2) ->
-      match compare s2 s1 with 0 -> compare t1 t2 | c -> c)
-    pieces;
-  let alloc = Array.make n 0.0 in
-  let remaining = ref budget in
-  (try
-     Array.iter
-       (fun (t, len, _) ->
-         if !remaining <= 0.0 then raise Exit;
-         let take = Float.min len !remaining in
-         alloc.(t) <- alloc.(t) +. take;
-         remaining := !remaining -. take)
-       pieces
-   with Exit -> ());
-  alloc
-
 (* Random strictly-concave envelope with exactly [k] pieces: adjacent
    slopes differ by >= 0.6, so canonicalization never merges any. *)
 let synth_plc rng k =
@@ -375,7 +343,10 @@ let plc_kernel () =
         sink := !sink +. Plc.demand f (Rng.uniform rng ~lo:0.0 ~hi:(Plc.max_slope f))
       done;
       let t_demand = now () -. t0 in
-      (* full solves: merge kernel on a recycled scratch vs reference *)
+      (* full solves: merge kernel on a recycled scratch vs the oracle's
+         sort-based allocator (the pre-flat-kernel algorithm). The
+         recorded speedup is reference/merge, so a kernel slowdown
+         shows up as regression:true. *)
       let scratch = Aa_alloc.Plc_greedy.Scratch.create () in
       let c0 = Aa_obs.Registry.counters () in
       let t0 = now () in
@@ -386,12 +357,12 @@ let plc_kernel () =
       let t_merge = now () -. t0 in
       let counters = counter_deltas c0 (Aa_obs.Registry.counters ()) in
       let t0 = now () in
-      let reference = ref (reference_allocate ~budget fs) in
+      let reference = ref (Aa_oracle.Sort_greedy.allocate ~exhaust:false ~budget fs) in
       for _ = 2 to solves do
-        reference := reference_allocate ~budget fs
+        reference := Aa_oracle.Sort_greedy.allocate ~exhaust:false ~budget fs
       done;
       let t_ref = now () -. t0 in
-      let identical = Array.for_all2 fsame (!merged).alloc !reference in
+      let identical = Array.for_all2 fsame (!merged).alloc (fst !reference) in
       let speedup = t_ref /. t_merge in
       let pos = Util.sum_by (fun f -> float_of_int (Plc.positive_pieces f)) fs in
       line
@@ -449,7 +420,7 @@ let bechamel_timing () =
       (let scratch = Algo2.Scratch.create () in
        Test.make ~name:"algo2-assign-scratch-n1000"
          (Staged.stage (fun () -> Algo2.solve ~linearized:lin1000 ~scratch inst1000)));
-      (* allocator substrate scaling: the three single-pool algorithms on
+      (* allocator substrate scaling: the two single-pool allocators on
          one 100-thread pool *)
       (let plcs = Instance.to_plc inst100 in
        Test.make ~name:"alloc-plc-greedy-n100"
@@ -457,12 +428,6 @@ let bechamel_timing () =
       (let us = inst100.utilities in
        Test.make ~name:"alloc-waterfill-n100"
          (Staged.stage (fun () -> Aa_alloc.Waterfill.allocate ~budget:8000.0 us)));
-      (let us = inst100.utilities in
-       Test.make ~name:"alloc-fox-B8000-n100"
-         (Staged.stage (fun () -> Aa_alloc.Fox.allocate ~budget:8000 ~unit_size:1.0 us)));
-      (let us = inst100.utilities in
-       Test.make ~name:"alloc-galil-B8000-n100"
-         (Staged.stage (fun () -> Aa_alloc.Galil.allocate ~budget:8000 ~unit_size:1.0 us)));
     ]
   in
   let benchmark test =
@@ -751,12 +716,14 @@ let online () =
       done;
       line "%-8d %14.4f %14.4f" beta (Stats.Online.mean acc) (Stats.Online.mean acc_so))
     [ 1; 2; 5; 10; 15 ];
-  (* Incremental vs full per-request maintenance: the same n arrivals
-     through both policies. The incremental engine keeps each server's
-     merged piece order alive between requests, so ADMIT runs no
-     allocator calls at all; the two runs must agree bit for bit. The
-     incremental entry's speedup field is the p99 ADMIT latency ratio,
-     so a p99 regression raises the trajectory's regression flag. *)
+  (* Incremental vs from-scratch per-request maintenance: the same n
+     arrivals through the online engine and through the oracle placer,
+     which re-runs the allocator on every candidate server. The
+     incremental engine keeps each server's merged piece order alive
+     between requests, so ADMIT runs no allocator calls at all; the two
+     runs must agree bit for bit. The incremental entry's speedup field
+     is the p99 ADMIT latency ratio, so a p99 regression raises the
+     trajectory's regression flag. *)
   let n_arr = 1000 in
   let inst =
     Gen.instance (Rng.create ~seed ()) ~servers:8 ~capacity:1000.0 ~threads:n_arr
@@ -767,32 +734,35 @@ let online () =
       (List.assoc_opt "plc_greedy.calls" (Aa_obs.Registry.counters ()))
       ~default:0
   in
-  let run_policy policy =
+  let run admit total =
     let h = Aa_obs.Histogram.create () in
-    let t = Online.create ~policy ~servers:8 ~capacity:1000.0 () in
     let calls0 = calls_now () in
     let t0 = now () in
     Array.iter
       (fun u ->
         let a0 = now () in
-        ignore (Online.admit t u);
+        ignore (admit u);
         Aa_obs.Histogram.add h (now () -. a0))
       inst.utilities;
     let wall = now () -. t0 in
-    ( Online.total_utility t,
-      Aa_obs.Histogram.quantile h 0.99 *. 1e9,
-      wall,
-      calls_now () - calls0 )
+    (total (), Aa_obs.Histogram.quantile h 0.99 *. 1e9, wall, calls_now () - calls0)
   in
-  let u_full, p99_full, wall_full, calls_full = run_policy Online.Full in
-  let u_inc, p99_inc, wall_inc, calls_inc = run_policy Online.Incremental in
+  let oracle = Aa_oracle.Placer.create ~servers:8 ~capacity:1000.0 in
+  let u_full, p99_full, wall_full, calls_full =
+    run (Aa_oracle.Placer.admit oracle) (fun () -> Aa_oracle.Placer.total_utility oracle)
+  in
+  let t = Online.create ~servers:8 ~capacity:1000.0 () in
+  let u_inc, p99_inc, wall_inc, calls_inc =
+    run (Online.admit t) (fun () -> Online.total_utility t)
+  in
   if not (Int64.equal (Int64.bits_of_float u_full) (Int64.bits_of_float u_inc)) then begin
     Printf.eprintf
-      "bench: ERROR online incremental maintenance diverged from full: %.17g <> %.17g\n%!"
+      "bench: ERROR online incremental maintenance diverged from the from-scratch \
+       oracle: %.17g <> %.17g\n%!"
       u_inc u_full;
     exit 1
   end;
-  line "admit maintenance (n=%d, m=8): p99 full %.0f ns, incremental %.0f ns (%.1fx);"
+  line "admit maintenance (n=%d, m=8): p99 from scratch %.0f ns, incremental %.0f ns (%.1fx);"
     n_arr p99_full p99_inc
     (p99_full /. Float.max 1.0 p99_inc);
   line "plc_greedy.calls %d -> %d; totals bit-identical" calls_full calls_inc;
@@ -852,18 +822,6 @@ let multires () =
 
 (* ---------- E4: service throughput ---------- *)
 
-(* The journaled run's fsync policy: AA_BENCH_FSYNC=always|interval|never
-   (default never, so the default bench measures engine throughput, not
-   the disk). The chosen policy is recorded in the trajectory JSON —
-   wall times under different policies are not comparable. *)
-let service_fsync =
-  let s = Option.value (Sys.getenv_opt "AA_BENCH_FSYNC") ~default:"never" in
-  match Aa_service.Journal.fsync_of_string s with
-  | Ok p -> p
-  | Error e ->
-      Printf.eprintf "bench: AA_BENCH_FSYNC: %s\n%!" e;
-      exit 2
-
 (* The mixed-workload request script both daemon experiments drive;
    built up front so request generation is never timed. Ids are dense
    in admission order, which the sharded dispatcher preserves (ADMIT k
@@ -904,8 +862,9 @@ let service () =
   line "%d requests: ~30%% ADMIT, 30%% DEPART, 15%% UPDATE, 20%% QUERY, plus STATS;"
     n_requests;
   line "SNAPSHOT every 1000 requests, REBALANCE (active-set Algo2) every 1000.";
-  line "journaled run fsync policy: %s"
-    (Aa_service.Journal.fsync_to_string service_fsync);
+  (* the journaled run never fsyncs, so E4 measures the engine, not the
+     disk; E5 measures fsync=always *)
+  line "journaled run fsync policy: never";
   (* parse + engine dispatch on this domain: the engine's cost without
      the dispatcher's worker hand-off *)
   let time_script label engine script =
@@ -929,7 +888,7 @@ let service () =
     script;
   let path = Filename.temp_file "aa_bench_journal" ".log" in
   (match
-     Aa_service.Journal.create ~fsync:service_fsync ~path ~servers:8
+     Aa_service.Journal.create ~fsync:Aa_service.Journal.Never ~path ~servers:8
        ~capacity:1000.0 ()
    with
   | Error e -> line "journaled bench skipped: %s" e
@@ -940,69 +899,79 @@ let service () =
       Aa_service.Journal.close j);
   Sys.remove path
 
-(* ---------- E5: sharded daemon + group commit ---------- *)
+(* ---------- pipelined shard harness (E5, E5b) ---------- *)
 
-(* The same mixed workload through the sharded dispatcher at 1/2/4/8
-   shards, every shard journaled at fsync=always — the policy where
+(* The mixed workload through the sharded dispatcher: [shards] engines
+   over m=8, every shard journaled at fsync=always — the policy where
    group commit matters. Requests are posted pipelined with a bounded
    in-flight window (the socket reader/writer discipline), so the shard
-   queues see real depth and each drained burst lands under one fsync:
-   the recorded journal.fsyncs stays well below the request count even
-   though every ack names durable state. *)
+   queues see real depth and each drained burst lands under one fsync.
+   Every ack is rendered and its ticket closed with [Shard.finish], as
+   the daemon's writer does ([finish] does nothing without a request
+   context). Returns the wall time and the fsyncs issued. *)
+let max_inflight = 64
+
+let run_shards ?access_log ~shards script =
+  let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
+  let paths = Array.init shards (fun _ -> Filename.temp_file "aa_bench_shard" ".log") in
+  let journals =
+    Array.init shards (fun k ->
+        match
+          Aa_service.Journal.create ~fsync:Aa_service.Journal.Always ~path:paths.(k)
+            ~servers:counts.(k) ~capacity:1000.0 ()
+        with
+        | Ok j -> j
+        | Error e ->
+            Printf.eprintf "bench: shard journal: %s\n%!" e;
+            exit 2)
+  in
+  let engines =
+    Array.init shards (fun k ->
+        Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
+          ~capacity:1000.0 ())
+  in
+  let sh = Aa_service.Shard.create engines in
+  let inflight = Queue.create () in
+  let await tk =
+    match Aa_service.Shard.await sh tk with
+    | Aa_service.Shard.Crashed name ->
+        Printf.eprintf "bench: shard crashed at %s\n%!" name;
+        exit 2
+    | Aa_service.Shard.Reply resp as out ->
+        let text = Aa_service.Protocol.print_response resp in
+        Aa_service.Shard.finish access_log tk out
+          (Aa_service.Shard.Sent (String.length text + 1))
+  in
+  let t0 = now () in
+  List.iter
+    (fun l ->
+      (match Aa_service.Shard.post_line ~conn:0 sh l with
+      | `Ticket tk -> Queue.push tk inflight
+      | `Blank | `Immediate _ -> ());
+      if Queue.length inflight > max_inflight then await (Queue.pop inflight))
+    script;
+  Queue.iter await inflight;
+  let dt = now () -. t0 in
+  Aa_service.Shard.shutdown sh;
+  let fsyncs = Array.fold_left (fun a j -> a + Aa_service.Journal.fsyncs j) 0 journals in
+  Array.iter Sys.remove paths;
+  (dt, fsyncs)
+
+(* ---------- E5: sharded daemon + group commit ---------- *)
+
+(* The harness at 1/2/4/8 shards: the recorded journal.fsyncs stays
+   well below the request count even though every ack names durable
+   state. *)
 let service_shards () =
   heading
     "E5 — sharded daemon: requests/s at 1/2/4/8 shards (group commit, fsync=always)";
   let n_requests = 10_000 in
-  let max_inflight = 64 in
   let script = make_service_script ~n_requests () in
   line "%d pipelined requests, in-flight window %d; fsyncs counted per run."
     n_requests max_inflight;
   List.iter
     (fun shards ->
-      let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
-      let paths =
-        Array.init shards (fun _ -> Filename.temp_file "aa_bench_shard" ".log")
-      in
-      let journals =
-        Array.init shards (fun k ->
-            match
-              Aa_service.Journal.create ~fsync:Aa_service.Journal.Always
-                ~path:paths.(k) ~servers:counts.(k) ~capacity:1000.0 ()
-            with
-            | Ok j -> j
-            | Error e ->
-                Printf.eprintf "bench: shard journal: %s\n%!" e;
-                exit 2)
-      in
-      let engines =
-        Array.init shards (fun k ->
-            Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
-              ~capacity:1000.0 ())
-      in
-      let sh = Aa_service.Shard.create engines in
-      let inflight = Queue.create () in
-      let await tk =
-        match Aa_service.Shard.await sh tk with
-        | Aa_service.Shard.Reply _ -> ()
-        | Aa_service.Shard.Crashed name ->
-            Printf.eprintf "bench: shard crashed at %s\n%!" name;
-            exit 2
-      in
-      let t0 = now () in
-      List.iter
-        (fun l ->
-          (match Aa_service.Shard.post_line sh l with
-          | `Ticket tk -> Queue.push tk inflight
-          | `Blank | `Immediate _ -> ());
-          if Queue.length inflight > max_inflight then await (Queue.pop inflight))
-        script;
-      Queue.iter await inflight;
-      let dt = now () -. t0 in
-      Aa_service.Shard.shutdown sh;
-      let fsyncs =
-        Array.fold_left (fun a j -> a + Aa_service.Journal.fsyncs j) 0 journals
-      in
-      Array.iter Sys.remove paths;
+      let dt, fsyncs = run_shards ~shards script in
       let rps = float_of_int n_requests /. dt in
       line "shards=%d   %10.0f requests/s   (%.2f s, %d fsyncs for %d requests)"
         shards rps dt fsyncs n_requests;
@@ -1015,94 +984,40 @@ let service_shards () =
 
 (* ---------- E5b: telemetry overhead on the sharded daemon ---------- *)
 
-(* The E5 workload in the E5 configuration — 4 shards, every shard
-   journaled at fsync=always, group commit — run twice: telemetry off,
-   then the full request-context layer on — a context minted per
-   request, phases timed, slow capture armed, every ack rendered and
-   written to a structured access log. The on/off rps ratio is the
-   observability tax; the budget is 5% (ratio >= 0.95). Set
-   AA_TEL=noalog or AA_TEL=noslow to ablate the access-log write or the
-   slow-capture arming out of the on leg when attributing a
-   regression. *)
+(* The harness at 4 shards, run twice: telemetry off, then the full
+   request-context layer on — a context minted per request, phases
+   timed, slow capture armed, every ack written to a structured access
+   log. Both legs render every ack, so the wire work the daemon pays
+   either way is not billed to telemetry. The on/off rps ratio is the
+   observability tax; the budget is 5% (ratio >= 0.95). *)
 let service_telemetry () =
   heading
     "E5b — telemetry overhead: requests/s with request contexts + access log on \
      vs off (4 shards, group commit, fsync=always)";
   let n_requests = 10_000 in
-  let max_inflight = 64 in
   let shards = 4 in
   let run ~telemetry =
     let script = make_service_script ~n_requests () in
-    let counts = Aa_service.Shard.server_counts ~servers:8 ~shards in
-    let paths =
-      Array.init shards (fun _ -> Filename.temp_file "aa_bench_tel" ".log")
-    in
-    let journals =
-      Array.init shards (fun k ->
-          match
-            Aa_service.Journal.create ~fsync:Aa_service.Journal.Always
-              ~path:paths.(k) ~servers:counts.(k) ~capacity:1000.0 ()
-          with
-          | Ok j -> j
-          | Error e ->
-              Printf.eprintf "bench: shard journal: %s\n%!" e;
-              exit 2)
-    in
-    let engines =
-      Array.init shards (fun k ->
-          Aa_service.Engine.create ~journal:journals.(k) ~servers:counts.(k)
-            ~capacity:1000.0 ())
-    in
-    let sh = Aa_service.Shard.create engines in
-    let alog_path = Filename.temp_file "aa_bench_alog" ".jsonl" in
-    let variant = Option.value (Sys.getenv_opt "AA_TEL") ~default:"full" in
-    let alog =
-      if not telemetry then None
-      else begin
-        Aa_obs.Rctx.set_enabled true;
-        if variant <> "noslow" then Aa_obs.Rctx.set_slow_ms 1000.0;
-        if variant = "noalog" then None
-        else
-          match Aa_service.Access_log.create ~path:alog_path with
-          | Ok a -> Some a
-          | Error e ->
-              Printf.eprintf "bench: access log: %s\n%!" e;
-              exit 2
-      end
-    in
-    let inflight = Queue.create () in
-    let await tk =
-      match Aa_service.Shard.await sh tk with
-      | Aa_service.Shard.Crashed name ->
-          Printf.eprintf "bench: shard crashed at %s\n%!" name;
-          exit 2
-      | Aa_service.Shard.Reply resp as out ->
-          (* render the ack in both runs — the wire write the daemon
-             pays either way must not be billed to telemetry *)
-          let text = Aa_service.Protocol.print_response resp in
-          Aa_service.Shard.finish alog tk out
-            (Aa_service.Shard.Sent (String.length text + 1))
-    in
-    let t0 = now () in
-    List.iter
-      (fun l ->
-        (match Aa_service.Shard.post_line ~conn:0 sh l with
-        | `Ticket tk -> Queue.push tk inflight
-        | `Blank | `Immediate _ -> ());
-        if Queue.length inflight > max_inflight then await (Queue.pop inflight))
-      script;
-    Queue.iter await inflight;
-    let dt = now () -. t0 in
-    Aa_service.Shard.shutdown sh;
-    Array.iter Sys.remove paths;
-    Option.iter Aa_service.Access_log.close alog;
-    if telemetry then begin
+    if not telemetry then fst (run_shards ~shards script)
+    else begin
+      Aa_obs.Rctx.set_enabled true;
+      Aa_obs.Rctx.set_slow_ms 1000.0;
+      let alog_path = Filename.temp_file "aa_bench_alog" ".jsonl" in
+      let alog =
+        match Aa_service.Access_log.create ~path:alog_path with
+        | Ok a -> a
+        | Error e ->
+            Printf.eprintf "bench: access log: %s\n%!" e;
+            exit 2
+      in
+      let dt, _ = run_shards ~access_log:alog ~shards script in
+      Aa_service.Access_log.close alog;
+      Sys.remove alog_path;
       Aa_obs.Rctx.set_slow_ms (-1.0);
       Aa_obs.Rctx.slow_clear ();
-      Aa_obs.Rctx.set_enabled false
-    end;
-    Sys.remove alog_path;
-    dt
+      Aa_obs.Rctx.set_enabled false;
+      dt
+    end
   in
   (* Discarded warm-ups, then the median-ratio pair of N adjacent
      (off, on) runs. A single pair on a loaded machine is scheduler
@@ -1190,9 +1105,7 @@ let () =
   experiment "hetero" hetero;
   experiment "online" online;
   experiment "multires" multires;
-  experiment
-    ~fsync:(Aa_service.Journal.fsync_to_string service_fsync)
-    "service" service;
+  experiment ~fsync:"never" "service" service;
   (* records its own per-shard-count entries, like speedup *)
   if want "service-shards" then service_shards ();
   (* records its own on/off entry pair *)

@@ -1,6 +1,5 @@
 open Aa_numerics
 open Aa_utility
-open Aa_alloc
 
 type resident = {
   thread : int;
@@ -39,7 +38,7 @@ type order = {
   mutable complete : bool;
 }
 
-type policy = Full | Incremental | Auto of { frac : float }
+type policy = Incremental | Auto of { frac : float }
 
 type t = {
   m : int;
@@ -48,13 +47,12 @@ type t = {
   mutable n : int; (* admitted threads *)
   residents : resident list array; (* per server, newest first *)
   counts : int array; (* per server, [List.length residents.(j)] *)
-  orders : order array; (* per server merged piece order (incremental policies) *)
+  orders : order array; (* per server merged piece order *)
   values : float array; (* current optimal value of each server *)
   utilities : Utility.t Dynvec.t;
   servers_of : int Dynvec.t; (* admission order -> server *)
   departed : bool Dynvec.t;
   byid : resident Dynvec.t; (* admission order -> resident record, O(1) lookups *)
-  scratch : Plc_greedy.Scratch.t; (* recycled allocator state (Full policy) *)
   mutable drift : float; (* published certified bound on F-hat - U *)
   mutable drift_trig : float; (* resolve-trigger accumulator; replay-deterministic *)
   mutable splices : int;
@@ -68,7 +66,7 @@ let create ?(policy = Incremental) ~servers ~capacity () =
   | Auto { frac } ->
       if not (frac >= 0.0 && frac <= 1.0) then
         invalid_arg "Online.create: Auto fraction must be in [0, 1]"
-  | Full | Incremental -> ());
+  | Incremental -> ());
   {
     m = servers;
     c = capacity;
@@ -84,7 +82,6 @@ let create ?(policy = Incremental) ~servers ~capacity () =
     servers_of = Dynvec.create ();
     departed = Dynvec.create ();
     byid = Dynvec.create ();
-    scratch = Plc_greedy.Scratch.create ();
     drift = 0.0;
     drift_trig = 0.0;
     splices = 0;
@@ -287,23 +284,8 @@ let rebuild t j =
   o.complete <- true;
   List.iter (fun r -> splice ~cap:t.c o r) t.residents.(j)
 
-(* Optimal division of server j's capacity among the given residents via a
-   from-scratch allocator run (Full policy); commits allocations and value. *)
-let commit t j residents =
-  match residents with
-  | [] ->
-      t.residents.(j) <- [];
-      t.values.(j) <- 0.0
-  | rs ->
-      let plcs = Array.of_list (List.map (fun r -> r.plc) rs) in
-      let res = Plc_greedy.allocate ~scratch:t.scratch ~exhaust:false ~budget:t.c plcs in
-      List.iteri (fun k r -> r.alloc <- res.alloc.(k)) rs;
-      t.residents.(j) <- rs;
-      t.values.(j) <- res.utility
-
 (* Register a new thread on server [j] with PLC form [p]: splice its pieces
-   in (or re-divide from scratch under Full) and record the admission-order
-   bookkeeping. *)
+   in and record the admission-order bookkeeping. *)
 let enroll t j u p =
   let r = { thread = t.n; plc = p; alloc = 0.0; acc = 0.0 } in
   Dynvec.push t.utilities u;
@@ -312,13 +294,10 @@ let enroll t j u p =
   Dynvec.push t.byid r;
   t.n <- t.n + 1;
   t.counts.(j) <- t.counts.(j) + 1;
-  match t.policy with
-  | Full -> commit t j (r :: t.residents.(j))
-  | Incremental | Auto _ ->
-      t.residents.(j) <- r :: t.residents.(j);
-      splice ~cap:t.c t.orders.(j) r;
-      fill t j;
-      t.splices <- t.splices + 1
+  t.residents.(j) <- r :: t.residents.(j);
+  splice ~cap:t.c t.orders.(j) r;
+  fill t j;
+  t.splices <- t.splices + 1
 
 (* Each mutation accrues a certified upper bound on how much further the
    online solution may have fallen behind the pooled bound F-hat (Lemma
@@ -386,13 +365,10 @@ let resolve t =
         t.residents.(j) <- r :: t.residents.(j);
         t.counts.(j) <- t.counts.(j) + 1)
       ids;
-    (match t.policy with
-    | Full -> Array.iteri (fun j rs -> commit t j rs) t.residents
-    | Incremental | Auto _ ->
-        for j = 0 to t.m - 1 do
-          rebuild t j;
-          fill t j
-        done);
+    for j = 0 to t.m - 1 do
+      rebuild t j;
+      fill t j
+    done;
     let fhat = (Superopt.compute inst).Superopt.utility in
     let d = Float.max 0.0 (fhat -. total_utility t) in
     t.drift <- d;
@@ -413,7 +389,7 @@ let maybe_resolve t =
         let u = total_utility t in
         if u < frac *. (u +. t.drift_trig) then resolve t
       end
-  | Full | Incremental -> ()
+  | Incremental -> ()
 
 let check_cap name t u =
   if not (Util.approx_equal ~eps:1e-9 (Utility.cap u) t.c) then
@@ -429,14 +405,7 @@ let admit ?samples t u =
   let best = ref (-1) in
   let best_gain = ref Float.neg_infinity in
   for j = 0 to t.m - 1 do
-    let v =
-      match t.policy with
-      | Full ->
-          let plcs = Array.of_list (p :: List.map (fun r -> r.plc) t.residents.(j)) in
-          (Plc_greedy.allocate ~scratch:t.scratch ~exhaust:false ~budget:t.c plcs).utility
-      | Incremental | Auto _ -> what_if t j ~xs ~ss ~np p
-    in
-    let gain = v -. t.values.(j) in
+    let gain = what_if t j ~xs ~ss ~np p -. t.values.(j) in
     let emptier =
       match !best with -1 -> true | b -> t.counts.(j) < t.counts.(b)
     in
@@ -475,14 +444,11 @@ let depart t i =
   Dynvec.set t.departed i true;
   t.counts.(j) <- t.counts.(j) - 1;
   let before = t.values.(j) in
-  (match t.policy with
-  | Full -> commit t j (List.filter (fun r -> r.thread <> i) t.residents.(j))
-  | Incremental | Auto _ ->
-      let r = Dynvec.get t.byid i in
-      t.residents.(j) <- List.filter (fun r' -> r'.thread <> i) t.residents.(j);
-      let o = t.orders.(j) in
-      if o.complete then unsplice o r else rebuild t j;
-      fill t j);
+  let r = Dynvec.get t.byid i in
+  t.residents.(j) <- List.filter (fun r' -> r'.thread <> i) t.residents.(j);
+  let o = t.orders.(j) in
+  if o.complete then unsplice o r else rebuild t j;
+  fill t j;
   accrue_drift t (before -. t.values.(j));
   maybe_resolve t
 
@@ -496,17 +462,14 @@ let update_utility ?samples t i u =
   let r = Dynvec.get t.byid i in
   r.plc <- p;
   let before = t.values.(j) in
-  (match t.policy with
-  | Full -> commit t j t.residents.(j)
-  | Incremental | Auto _ ->
-      let o = t.orders.(j) in
-      if o.complete then begin
-        unsplice o r;
-        splice ~cap:t.c o r
-      end
-      else rebuild t j;
-      fill t j;
-      t.splices <- t.splices + 1);
+  let o = t.orders.(j) in
+  if o.complete then begin
+    unsplice o r;
+    splice ~cap:t.c o r
+  end
+  else rebuild t j;
+  fill t j;
+  t.splices <- t.splices + 1;
   accrue_drift t (Plc.peak p -. (t.values.(j) -. before));
   maybe_resolve t
 

@@ -9,19 +9,15 @@
     without the newcomer, and place the thread where the increase is
     largest — ties to the emptier server.
 
-    Two maintenance strategies produce bit-identical placements and
-    allocations:
-
-    - {!Full} re-runs {!Aa_alloc.Plc_greedy.allocate} from scratch on
-      every candidate server of every admission — [O(m · S log S)] per
-      admission where [S] bounds a server's total PLC segments.
-    - {!Incremental} (the default) keeps each server's merged piece
-      order alive between requests: ADMIT evaluates candidates with an
-      allocator-free two-stream merge walk and splices the winner's
-      pieces in, DEPART/UPDATE re-fill only the affected server —
-      [O(m · S)] per admission with no allocator calls at all. Because
-      resident lists are newest-first, the merged (slope desc, admission
-      id desc) order replays the from-scratch k-way merge bit for bit.
+    Each server's merged piece order stays alive between requests:
+    ADMIT evaluates candidates with an allocator-free two-stream merge
+    walk and splices the winner's pieces in, DEPART/UPDATE re-fill only
+    the affected server — [O(m · S)] per admission, where [S] bounds a
+    server's total PLC segments, with no allocator calls at all.
+    Because resident lists are newest-first, the merged (slope desc,
+    admission id desc) order replays a from-scratch
+    {!Aa_alloc.Plc_greedy.allocate} over each server's residents bit
+    for bit; the tests hold this engine to such a from-scratch placer.
 
     Every mutation also accrues a {e certified drift bound}: an upper
     bound on [F̂ − U], the gap between the pooled super-optimal bound
@@ -39,7 +35,6 @@
 type t
 
 type policy =
-  | Full  (** from-scratch allocator run per candidate server (reference) *)
   | Incremental  (** splice-maintained piece orders; never migrates *)
   | Auto of { frac : float }
       (** incremental maintenance plus a certified decay trigger: after
@@ -101,10 +96,10 @@ val drift_bound : t -> float
 
 val splices : t -> int
 (** Incremental piece-order splices performed (admissions and utility
-    updates under {!Incremental}/{!Auto}); [0] under {!Full}. *)
+    updates). *)
 
 val resolves : t -> int
-(** Full re-solves performed ({!resolve} calls, including {!Auto}
+(** Re-solves performed ({!resolve} calls, including {!Auto}
     triggers). *)
 
 val resolve : t -> unit

@@ -80,7 +80,10 @@ let healthz shard =
   let b = Buffer.create 256 in
   Printf.bprintf b "{\"status\":\"%s\"" status;
   (match crashed with
-  | Some name -> Printf.bprintf b ",\"crash\":\"%s\"" (String.escaped name)
+  | Some name ->
+      Buffer.add_string b ",\"crash\":\"";
+      Aa_obs.Trace.add_escaped b name;
+      Buffer.add_char b '"'
   | None -> ());
   Printf.bprintf b ",\"shards\":%d,\"shard_health\":[" (Array.length rows);
   Array.iteri

@@ -1,70 +1,3 @@
-module Poly = struct
-  type 'a t = { mutable data : 'a array; mutable len : int; cmp : 'a -> 'a -> int }
-
-  let create ~cmp = { data = [||]; len = 0; cmp }
-  let length t = t.len
-  let is_empty t = t.len = 0
-
-  let grow t x =
-    let cap = Array.length t.data in
-    if t.len = cap then begin
-      let ncap = if cap = 0 then 8 else 2 * cap in
-      let ndata = Array.make ncap x in
-      Array.blit t.data 0 ndata 0 t.len;
-      t.data <- ndata
-    end
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if t.cmp t.data.(i) t.data.(parent) > 0 then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let largest = ref i in
-    if l < t.len && t.cmp t.data.(l) t.data.(!largest) > 0 then largest := l;
-    if r < t.len && t.cmp t.data.(r) t.data.(!largest) > 0 then largest := r;
-    if !largest <> i then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(!largest);
-      t.data.(!largest) <- tmp;
-      sift_down t !largest
-    end
-
-  let push t x =
-    grow t x;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1;
-    sift_up t (t.len - 1)
-
-  let peek t =
-    if t.len = 0 then raise Not_found;
-    t.data.(0)
-
-  let pop t =
-    if t.len = 0 then raise Not_found;
-    let top = t.data.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.data.(0) <- t.data.(t.len);
-      sift_down t 0
-    end;
-    top
-
-  let of_array ~cmp a =
-    let t = { data = Array.copy a; len = Array.length a; cmp } in
-    for i = (t.len / 2) - 1 downto 0 do
-      sift_down t i
-    done;
-    t
-end
-
 module Indexed = struct
   type t = {
     prio : float array; (* priority of each element *)

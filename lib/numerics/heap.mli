@@ -1,32 +1,7 @@
-(** Binary heaps.
-
-    Two flavors are provided: a polymorphic push/pop heap used by the Fox
-    greedy allocator, and an indexed float-priority heap over a fixed
-    element set [0 .. n-1] with key updates, used by Algorithm 2 to track
-    the server with the most remaining resources in [O(log m)] per step. *)
-
-(** Polymorphic heap; the element ordering is supplied at creation.
-    [create ~cmp] yields a max-heap when [cmp] orders ascending. *)
-module Poly : sig
-  type 'a t
-
-  val create : cmp:('a -> 'a -> int) -> 'a t
-  (** Empty heap whose maximum element (w.r.t. [cmp]) is popped first. *)
-
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> 'a -> unit
-
-  val pop : 'a t -> 'a
-  (** Removes and returns the maximum. Raises [Not_found] when empty. *)
-
-  val peek : 'a t -> 'a
-  (** Returns the maximum without removing it. Raises [Not_found] when
-      empty. *)
-
-  val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
-  (** Heapify in [O(n)]. *)
-end
+(** Indexed binary max-heap over a fixed element set [0 .. n-1] with
+    float priorities and key updates: Algorithm 2 uses it to track the
+    server with the most remaining resources in [O(log m)] per step,
+    and the PLC greedy allocator drives its k-way merge with it. *)
 
 (** Max-heap over elements [0 .. n-1] with mutable float priorities. *)
 module Indexed : sig

@@ -199,19 +199,6 @@ let slow_clear () =
   Queue.clear slow_keep;
   Mutex.unlock slow_lock
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s
-
 (* One-line JSON array for the SLOW verb: [{rid,kind,conn,shard,outcome,
    total_ns,spans:[{name,t0_ns,dur_ns,shard}]}] — most recent first. *)
 let slow_json () =
@@ -221,15 +208,15 @@ let slow_json () =
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b "{\"rid\":%d,\"kind\":\"" s.s_rid;
-      add_escaped b s.s_kind;
+      Trace.add_escaped b s.s_kind;
       Printf.bprintf b "\",\"conn\":%d,\"shard\":%d,\"outcome\":\"" s.s_conn s.s_shard;
-      add_escaped b s.s_outcome;
+      Trace.add_escaped b s.s_outcome;
       Printf.bprintf b "\",\"total_ns\":%d,\"spans\":[" s.s_total_ns;
       List.iteri
         (fun j (name, t0, t1, shard) ->
           if j > 0 then Buffer.add_char b ',';
           Printf.bprintf b "{\"name\":\"";
-          add_escaped b name;
+          Trace.add_escaped b name;
           Printf.bprintf b "\",\"t0_ns\":%d,\"dur_ns\":%d,\"shard\":%d}" t0 (t1 - t0) shard)
         s.s_spans;
       Buffer.add_string b "]}")
@@ -251,7 +238,7 @@ let slow_chrome_events () =
           if not !first then Buffer.add_char b ',';
           first := false;
           Buffer.add_string b "{\"name\":\"";
-          add_escaped b name;
+          Trace.add_escaped b name;
           Printf.bprintf b
             "\",\"cat\":\"aa.slow\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":2,\"tid\":%d,\"args\":{\"rid\":%d,\"conn\":%d}}"
             (float_of_int t0 /. 1000.0)

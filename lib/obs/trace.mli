@@ -89,6 +89,13 @@ val unbalanced : unit -> int
 val clear : unit -> unit
 (** Drop all recorded events (buffers stay allocated). Quiescence only. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends [s] as the body of a JSON string: quote,
+    backslash, LF, tab and CR get their short escapes, other control
+    characters [\u00XX]. The one escaper behind every JSON the
+    telemetry writes: trace exports, SLOW dumps, access-log records and
+    [/healthz]. *)
+
 val to_chrome_json : ?compact:bool -> unit -> string
 (** Chrome [trace_event] JSON array ([{"name":…,"ph":"B"|"E","ts":…,
     "pid":1,"tid":<domain>}]): load in Perfetto (ui.perfetto.dev) or

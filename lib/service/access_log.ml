@@ -43,17 +43,6 @@ let create ~path =
         }
   | exception Sys_error e -> Error e
 
-let esc b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char b c)
-    s
-
 (* Call with [t.lock] held: push the buffered lines through the channel
    in one write + flush, so the file only ever grows by whole batches. *)
 let drain_locked t now_s =
@@ -90,11 +79,11 @@ let log t ctx ~outcome ~bytes =
   Buffer.add_string b ",\"conn\":";
   add_int b (Rctx.conn ctx);
   Buffer.add_string b ",\"kind\":\"";
-  esc b (Rctx.kind ctx);
+  Aa_obs.Trace.add_escaped b (Rctx.kind ctx);
   Buffer.add_string b "\",\"shard\":";
   add_int b (Rctx.shard ctx);
   Buffer.add_string b ",\"outcome\":\"";
-  esc b outcome;
+  Aa_obs.Trace.add_escaped b outcome;
   Buffer.add_string b "\",\"bytes\":";
   add_int b bytes;
   Buffer.add_string b ",\"total_ns\":";

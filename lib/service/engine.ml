@@ -47,28 +47,7 @@ let c_degraded_enter = Aa_obs.Registry.counter "engine.degraded.enter"
 let c_degraded_reject = Aa_obs.Registry.counter "engine.degraded.rejected"
 let c_degraded_exit = Aa_obs.Registry.counter "engine.degraded.exit"
 
-(* Certified-quality gauges, refreshed by REBALANCE (and by the sharded
-   barrier aggregate, which overwrites them with the global sums).
-   Schedule-dependent — the active set depends on arrival order — so
-   gauges, never counters. *)
-let g_utility = Aa_obs.Registry.gauge ~help:"Online utility of the serving allocation at the last REBALANCE" "engine.utility"
-let g_ulower = Aa_obs.Registry.gauge ~help:"Certified lower bound on the offline re-solve utility" "engine.utility_lower"
-let g_uupper = Aa_obs.Registry.gauge ~help:"Certified upper bound on the offline re-solve utility" "engine.utility_upper"
-let g_alpha = Aa_obs.Registry.gauge ~help:"Superopt certificate utility minus online utility at the last REBALANCE" "engine.alpha_bound_gap"
-
-(* Incremental-engine telemetry: the drift certificate and maintenance
-   volumes depend on the arrival order, so gauges, never counters. *)
-let g_drift = Aa_obs.Registry.gauge ~help:"Certified upper bound on superopt utility minus online utility" "engine.drift_bound"
-let g_splices = Aa_obs.Registry.gauge ~help:"Incremental piece-order splices performed by the online placer" "engine.incremental.splices"
-let g_resolves = Aa_obs.Registry.gauge ~help:"Full re-solves performed by the online placer" "engine.incremental.resolves"
-
-let publish_incremental ol =
-  Aa_obs.Registry.Gauge.set g_drift (Online.drift_bound ol);
-  Aa_obs.Registry.Gauge.set g_splices (float_of_int (Online.splices ol));
-  Aa_obs.Registry.Gauge.set g_resolves (float_of_int (Online.resolves ol))
-
 let policy_name : Online.policy -> string = function
-  | Online.Full -> "full"
   | Online.Incremental -> "incremental"
   | Online.Auto _ -> "auto"
 
@@ -94,7 +73,6 @@ let degraded t = t.degraded
 let n_admitted t = Online.n_admitted t.online
 let n_active t = Online.n_active t.online
 let total_utility t = Online.total_utility t.online
-let utility_interval t = t.interval
 
 let stats t : stats =
   let ol = t.online in
@@ -220,7 +198,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             Failpoint.crash_if fp_apply;
             Aa_obs.Rctx.phase "apply" @@ fun () ->
             let server = Online.admit ol u in
-            publish_incremental ol;
             Protocol.Admitted { id = Online.n_admitted ol - 1; server }
       end
   | Depart i ->
@@ -233,7 +210,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             Failpoint.crash_if fp_apply;
             Aa_obs.Rctx.phase "apply" @@ fun () ->
             Online.depart ol i;
-            publish_incremental ol;
             Protocol.Departed { id = i }
       end
   | Update (i, u) ->
@@ -253,7 +229,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
               Failpoint.crash_if fp_apply;
               Aa_obs.Rctx.phase "apply" @@ fun () ->
               Online.update_utility ol i u;
-              publish_incremental ol;
               Protocol.Updated { id = i; server = Online.server_of ol i }))
   | Query i ->
       if i < 0 || i >= Online.n_admitted ol then thread_err t i
@@ -300,7 +275,6 @@ let dispatch t (req : Protocol.request) : Protocol.response =
         t.interval <- Some (0.0, 0.0, 0.0);
         (* the empty set's pooled bound is 0, so the certificate closes *)
         Online.note_bound ol ~upper:0.0;
-        publish_incremental ol;
         Rebalance_report { online = 0.0; offline = 0.0; gap = 1.0 }
       end
       else begin
@@ -340,12 +314,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
         (* the freshly computed pooled bound re-certifies the drift gauge
            (tightening only — Auto re-solve points stay replay-exact) *)
         Online.note_bound ol ~upper:fhat;
-        publish_incremental ol;
         t.interval <- Some (lower, upper, alpha_gap);
-        Aa_obs.Registry.Gauge.set g_utility online_u;
-        Aa_obs.Registry.Gauge.set g_ulower lower;
-        Aa_obs.Registry.Gauge.set g_uupper upper;
-        Aa_obs.Registry.Gauge.set g_alpha alpha_gap;
         let gap = if offline_u > 0.0 then online_u /. offline_u else 1.0 in
         Rebalance_report { online = online_u; offline = offline_u; gap }
       end

@@ -68,9 +68,9 @@ val create :
     eps-coarsened copy of the active instance ({!Aa_utility.Plc.coarsen})
     and report the guaranteed utility interval; 0 (default) solves at
     full resolution. [policy] selects the online maintenance strategy
-    ({!Aa_core.Online.policy}, default [Incremental] — bit-identical to
-    [Full], without the per-request allocator runs). Raises
-    [Invalid_argument] on a negative or non-finite eps. *)
+    ({!Aa_core.Online.policy}, default [Incremental]: never migrates;
+    [Auto] adds certified re-solves). Raises [Invalid_argument] on a
+    negative or non-finite eps. *)
 
 val servers : t -> int
 val capacity : t -> float
@@ -85,15 +85,6 @@ val n_admitted : t -> int
 val n_active : t -> int
 val total_utility : t -> float
 
-val utility_interval : t -> (float * float * float) option
-(** The last REBALANCE's certified [(lower, upper, alpha_gap)]: the
-    offline re-solve's exact utility lies in [[lower, upper]]
-    ([lower = upper] without coarsening), and [alpha_gap] is the
-    superopt certificate utility F̂ minus the online utility. [None]
-    until a REBALANCE has run. Also exported as the [engine.utility*]
-    and [engine.alpha_bound_gap] gauges and the
-    [utility_lower]/[utility_upper]/[alpha_gap] STATS keys. *)
-
 type stats = {
   admitted : int;
   active : int;
@@ -107,7 +98,15 @@ type stats = {
           re-certifies (tightens) it *)
   splices : int;  (** incremental piece-order splices of the placer *)
   resolves : int;  (** full re-solves, {!Aa_core.Online.Auto} triggers *)
-  interval : (float * float * float) option;  (** {!utility_interval} *)
+  interval : (float * float * float) option;
+      (** the last REBALANCE's certified [(lower, upper, alpha_gap)]:
+          the offline re-solve's exact utility lies in [[lower, upper]]
+          ([lower = upper] without coarsening), and [alpha_gap] is the
+          superopt certificate utility F̂ minus the online utility.
+          [None] until a REBALANCE has run. Reported as the
+          [utility_lower]/[utility_upper]/[alpha_gap] STATS keys;
+          {!Shard} exports the fleet sums as the [engine.utility_*] and
+          [engine.alpha_bound_gap] gauges. *)
 }
 (** The engine's STATS gauges as values, so {!Shard} can sum them over
     a barrier cut before rendering. *)

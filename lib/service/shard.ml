@@ -57,8 +57,6 @@ type t = {
   rr : int Atomic.t; (* round-robin admit counter (routing only) *)
   metrics : Metrics.t; (* the daemon's request metrics: queueing + engine latency *)
   mlock : Mutex.t; (* Metrics is not thread-safe; awaits are concurrent *)
-  g_active : Aa_obs.Registry.Gauge.t array;
-  g_bytes : Aa_obs.Registry.Gauge.t array;
   mutable crashed : string option;
   mutable stop : bool;
   mutable workers : unit Domain.t array;
@@ -181,17 +179,6 @@ let rewrite_out t ~shard (r : Protocol.response) : Protocol.response =
 
 (* ---------- barriers ---------- *)
 
-(* Same registry slots engine.ml writes at REBALANCE; the barrier
-   aggregate overwrites them with fleet-wide sums so /metrics shows the
-   global certified interval, not the last shard's local one. *)
-let g_utility = Aa_obs.Registry.gauge "engine.utility"
-let g_ulower = Aa_obs.Registry.gauge "engine.utility_lower"
-let g_uupper = Aa_obs.Registry.gauge "engine.utility_upper"
-let g_alpha = Aa_obs.Registry.gauge "engine.alpha_bound_gap"
-let g_drift = Aa_obs.Registry.gauge "engine.drift_bound"
-let g_splices = Aa_obs.Registry.gauge "engine.incremental.splices"
-let g_resolves = Aa_obs.Registry.gauge "engine.incremental.resolves"
-
 let local_barrier eng = function
   | B_stats -> R_stats (Engine.stats eng)
   | B_snapshot -> R_resp (Engine.handle eng Protocol.Snapshot)
@@ -217,6 +204,9 @@ let add_stats (a : Engine.stats) (b : Engine.stats) : Engine.stats =
       | _, _ -> None);
   }
 
+let fleet_stats stats =
+  Array.fold_left add_stats stats.(0) (Array.sub stats 1 (Array.length stats - 1))
+
 let aggregate t (b : barrier) : Protocol.response =
   let results =
     (* the barrier countdown reached zero, so every slot has been filled *)
@@ -233,12 +223,7 @@ let aggregate t (b : barrier) : Protocol.response =
           (function R_stats s -> s | R_resp _ -> invalid_arg "Shard.aggregate: not a STATS cut")
           results
       in
-      let sum = Array.fold_left add_stats stats.(0) (Array.sub stats 1 (t.n - 1)) in
-      (* the barrier cut makes the fleet sums a consistent snapshot; the
-         gauges are overwritten so /metrics shows the global view *)
-      Aa_obs.Registry.Gauge.set g_drift sum.drift;
-      Aa_obs.Registry.Gauge.set g_splices (float_of_int sum.splices);
-      Aa_obs.Registry.Gauge.set g_resolves (float_of_int sum.resolves);
+      let sum = fleet_stats stats in
       let per_shard =
         List.concat
           (List.init t.n (fun k ->
@@ -284,22 +269,6 @@ let aggregate t (b : barrier) : Protocol.response =
       match !err with
       | Some e -> e
       | None ->
-          (let lo = ref 0.0 and hi = ref 0.0 and alpha = ref 0.0 and all = ref true in
-           Array.iter
-             (fun e ->
-               match Engine.utility_interval e with
-               | Some (l, h, a) ->
-                   lo := !lo +. l;
-                   hi := !hi +. h;
-                   alpha := !alpha +. a
-               | None -> all := false)
-             t.engines;
-           if !all then begin
-             Aa_obs.Registry.Gauge.set g_utility !online;
-             Aa_obs.Registry.Gauge.set g_ulower !lo;
-             Aa_obs.Registry.Gauge.set g_uupper !hi;
-             Aa_obs.Registry.Gauge.set g_alpha !alpha
-           end);
           let gap = if !offline > 0.0 then !online /. !offline else 1.0 in
           Mutex.lock t.mlock;
           Metrics.note_gap t.metrics gap;
@@ -366,11 +335,7 @@ let process t ~shard eng jobs =
           flush ();
           do_barrier t ~shard eng b)
     jobs;
-  flush ();
-  Aa_obs.Registry.Gauge.set t.g_active.(shard) (float_of_int (Engine.n_active eng));
-  match Engine.journal eng with
-  | Some j -> Aa_obs.Registry.Gauge.set t.g_bytes.(shard) (float_of_int (Journal.bytes j))
-  | None -> ()
+  flush ()
 
 let drain_queue q =
   let rec go acc k =
@@ -421,6 +386,44 @@ let worker t shard () =
 
 (* ---------- construction ---------- *)
 
+(* The daemon-state gauges are callbacks sampled when /metrics is
+   scraped, so they are live whether or not observability is on and
+   the request path never writes them. They are the same unsynchronized
+   reads as [health], and the engine gauges sum the shards with STATS's
+   [add_stats] fold, so /metrics and STATS print the same numbers.
+   Registration is by name: the newest dispatcher owns the gauges. *)
+let register_gauges t =
+  let engine name help f =
+    Aa_obs.Registry.gauge_fn ~help ("engine." ^ name) (fun () ->
+        f (fleet_stats (Array.map Engine.stats t.engines)))
+  in
+  let interval pick (s : Engine.stats) =
+    match s.interval with Some i -> pick i | None -> 0.0
+  in
+  engine "utility" "Live utility of the serving allocation (STATS utility=)" (fun s ->
+      s.utility);
+  engine "utility_lower" "Certified lower bound on the offline re-solve utility"
+    (interval (fun (l, _, _) -> l));
+  engine "utility_upper" "Certified upper bound on the offline re-solve utility"
+    (interval (fun (_, h, _) -> h));
+  engine "alpha_bound_gap"
+    "Superopt certificate utility minus online utility at the last REBALANCE"
+    (interval (fun (_, _, a) -> a));
+  engine "drift_bound" "Certified upper bound on superopt utility minus online utility"
+    (fun s -> s.drift);
+  engine "incremental.splices"
+    "Incremental piece-order splices performed by the online placer" (fun s ->
+      float_of_int s.splices);
+  engine "incremental.resolves" "Full re-solves performed by the online placer" (fun s ->
+      float_of_int s.resolves);
+  Array.iteri
+    (fun k e ->
+      Aa_obs.Registry.gauge_fn (Printf.sprintf "shard.%d.active_threads" k) (fun () ->
+          float_of_int (Engine.n_active e));
+      Aa_obs.Registry.gauge_fn (Printf.sprintf "shard.%d.journal_bytes" k) (fun () ->
+          match Engine.journal e with Some j -> float_of_int (Journal.bytes j) | None -> 0.0))
+    t.engines
+
 let create ?(window_s = 0.0) engines =
   let n = Array.length engines in
   if n < 1 then invalid_arg "Shard.create: need at least one engine";
@@ -450,17 +453,12 @@ let create ?(window_s = 0.0) engines =
       rr = Atomic.make admitted;
       metrics = Metrics.create ();
       mlock = Mutex.create ();
-      g_active =
-        Array.init n (fun k ->
-            Aa_obs.Registry.gauge (Printf.sprintf "shard.%d.active_threads" k));
-      g_bytes =
-        Array.init n (fun k ->
-            Aa_obs.Registry.gauge (Printf.sprintf "shard.%d.journal_bytes" k));
       crashed = None;
       stop = false;
       workers = [||];
     }
   in
+  register_gauges t;
   t.workers <- Array.init n (fun s -> Domain.spawn (worker t s));
   t
 

@@ -44,18 +44,21 @@
     later posts are refused with it. [aa_serve] translates the first
     {!Crashed} into the injected-crash exit (70).
 
-    {b Observability.} Per-shard gauges [shard.K.active_threads] and
-    [shard.K.journal_bytes] are set after every burst; batch sizes feed
-    the [engine.group_commit.batch_size] histogram. When the
+    {b Observability.} {!create} registers the daemon-state gauges as
+    callbacks sampled when [/metrics] is scraped, live whether or not
+    observability is on: the [engine.*] gauges (live utility, drift
+    bound, splices, re-solves and the certified interval) summed over
+    the shards as STATS sums them, and per shard
+    [shard.K.active_threads] and [shard.K.journal_bytes]. Batch sizes
+    feed the [engine.group_commit.batch_size] histogram. When the
     {!Aa_obs.Rctx} layer is enabled, {!post} mints a request context
     per request: the owning shard is stamped at routing, engine
     dispatch runs the request's phases under its scope
     ({!Engine.handle_batch}'s [ctxs]), and barrier operations re-scope
     the one shared context per worker — STATS/SNAPSHOT/REBALANCE export
-    as a single rid spanning every shard. The REBALANCE aggregate also
-    overwrites the [engine.utility*] / [engine.alpha_bound_gap] gauges
-    with fleet-wide sums, and STATS reports the summed certified
-    interval once every shard has rebalanced. All of these are
+    as a single rid spanning every shard. STATS and the interval
+    gauges report the summed certified interval once every shard has
+    rebalanced. All of these are
     schedule-dependent and quarantined from the counter determinism
     contract, like [Pool.stats]. *)
 
@@ -78,7 +81,8 @@ val create : ?window_s:float -> Engine.t array -> t
     define the shard blocks (build them with {!server_counts} for the
     canonical partition); all engines must share one capacity.
     [window_s] (default 0) is the group-commit accumulation window; a
-    burst drains at most 256 jobs. *)
+    burst drains at most 256 jobs. Registers the daemon-state gauges
+    by name, so the most recently created dispatcher owns them. *)
 
 val shards : t -> int
 val capacity : t -> float

@@ -1,6 +1,7 @@
 open Aa_numerics
 open Aa_utility
 open Aa_alloc
+open Aa_oracle
 
 (* ---------- Plc_greedy ---------- *)
 
@@ -80,83 +81,7 @@ let test_waterfill_matches_kkt () =
   Helpers.check_float ~eps:1e-6 "share 1" (budget *. w1 /. (w1 +. w2)) r.alloc.(0);
   Helpers.check_float ~eps:1e-6 "share 2" (budget *. w2 /. (w1 +. w2)) r.alloc.(1)
 
-(* ---------- Fox / Galil / DP cross-checks ---------- *)
-
-let shapes_pool cap =
-  [|
-    Utility.Shapes.power ~cap ~coeff:3.0 ~beta:0.5;
-    Utility.Shapes.log_utility ~cap ~coeff:2.0 ~rate:0.5;
-    Utility.Shapes.saturating ~cap ~limit:6.0 ~halfway:2.0;
-    Utility.Shapes.capped_linear ~cap ~slope:1.0 ~knee:(cap /. 2.0);
-    Utility.Shapes.linear ~cap ~slope:0.4;
-  |]
-
-let test_fox_simple () =
-  let cap = 8.0 in
-  let fs = [| Utility.Shapes.linear ~cap ~slope:2.0; Utility.Shapes.linear ~cap ~slope:1.0 |] in
-  let r = Fox.allocate ~budget:10 ~unit_size:1.0 fs in
-  Alcotest.(check int) "steep maxed" 8 r.alloc.(0);
-  Alcotest.(check int) "rest" 2 r.alloc.(1);
-  Helpers.check_float "utility" 18.0 r.utility
-
-let test_fox_zero_budget () =
-  let fs = shapes_pool 8.0 in
-  let r = Fox.allocate ~budget:0 ~unit_size:1.0 fs in
-  Array.iter (fun u -> Alcotest.(check int) "zero" 0 u) r.alloc
-
-let test_fox_equals_dp () =
-  let cap = 12.0 in
-  let fs = shapes_pool cap in
-  List.iter
-    (fun budget ->
-      let fox = Fox.allocate ~budget ~unit_size:1.0 fs in
-      let dp = Dp.allocate ~budget ~unit_size:1.0 fs in
-      Helpers.check_float ~eps:1e-9
-        (Printf.sprintf "budget %d" budget)
-        dp.utility fox.utility)
-    [ 1; 3; 7; 12; 25; 60 ]
-
-let test_galil_equals_dp () =
-  let cap = 12.0 in
-  let fs = shapes_pool cap in
-  List.iter
-    (fun budget ->
-      let galil = Galil.allocate ~budget ~unit_size:1.0 fs in
-      let dp = Dp.allocate ~budget ~unit_size:1.0 fs in
-      Helpers.check_float ~eps:1e-7
-        (Printf.sprintf "budget %d" budget)
-        dp.utility galil.utility;
-      Alcotest.(check int)
-        "galil uses full budget or all caps"
-        (min budget (Array.fold_left (fun acc f -> acc + int_of_float (Float.ceil (Utility.cap f))) 0 fs))
-        (Array.fold_left ( + ) 0 galil.alloc))
-    [ 1; 3; 7; 12; 25 ]
-
-let test_fox_fractional_units () =
-  (* unit_size 0.5: 8 units cover a cap-4 thread *)
-  let fs = [| Utility.Shapes.linear ~cap:4.0 ~slope:1.0 |] in
-  let r = Fox.allocate ~budget:20 ~unit_size:0.5 fs in
-  Alcotest.(check int) "stops at cap" 8 r.alloc.(0);
-  Helpers.check_float "utility at cap" 4.0 r.utility
-
-let test_fox_galil_dp_fractional_agree () =
-  let fs = shapes_pool 6.0 in
-  List.iter
-    (fun budget ->
-      let fox = Fox.allocate ~budget ~unit_size:0.25 fs in
-      let galil = Galil.allocate ~budget ~unit_size:0.25 fs in
-      let dp = Dp.allocate ~budget ~unit_size:0.25 fs in
-      Helpers.check_float ~eps:1e-7 "fox=dp" dp.utility fox.utility;
-      Helpers.check_float ~eps:1e-7 "galil=dp" dp.utility galil.utility)
-    [ 5; 17; 40 ]
-
-let test_galil_lambda_consistent () =
-  (* at the returned price, total demand brackets the budget *)
-  let fs = shapes_pool 12.0 in
-  let budget = 20 in
-  let r = Galil.allocate ~budget ~unit_size:1.0 fs in
-  Alcotest.(check int) "budget used" budget (Array.fold_left ( + ) 0 r.alloc);
-  Alcotest.(check bool) "positive clearing price" true (r.lambda > 0.0)
+(* ---------- DP oracle ---------- *)
 
 let test_dp_nonconcave () =
   (* DP is the only allocator that must handle non-concave tables *)
@@ -228,52 +153,6 @@ let prop_greedy_beats_random_feasible =
       done;
       !ok)
 
-(* The pre-flat-kernel allocator, reimplemented verbatim as a reference:
-   materialize every positive-slope piece, sort globally by (slope desc,
-   thread asc), pour, then optionally exhaust on flat regions. The merge
-   kernel must reproduce it bit for bit. *)
-let sort_based_allocate ~exhaust ~budget fs =
-  let n = Array.length fs in
-  let pieces = ref [] in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun (s : Plc.segment) ->
-        if s.slope > 0.0 then pieces := (i, s.x1 -. s.x0, s.slope) :: !pieces)
-      (Plc.segments fs.(i))
-  done;
-  let pieces = Array.of_list !pieces in
-  Array.sort
-    (fun (t1, _, s1) (t2, _, s2) ->
-      match compare s2 s1 with 0 -> compare t1 t2 | c -> c)
-    pieces;
-  let alloc = Array.make n 0.0 in
-  let remaining = ref budget in
-  let lambda = ref 0.0 in
-  (try
-     Array.iter
-       (fun (t, len, slope) ->
-         if !remaining <= 0.0 then raise Exit;
-         let take = Float.min len !remaining in
-         alloc.(t) <- alloc.(t) +. take;
-         remaining := !remaining -. take;
-         if take > 0.0 then lambda := slope)
-       pieces
-   with Exit -> ());
-  if exhaust && !remaining > 0.0 then begin
-    let i = ref 0 in
-    while !remaining > 0.0 && !i < n do
-      let headroom = Plc.cap fs.(!i) -. alloc.(!i) in
-      let take = Float.min headroom !remaining in
-      if take > 0.0 then begin
-        alloc.(!i) <- alloc.(!i) +. take;
-        remaining := !remaining -. take
-      end;
-      incr i
-    done
-  end;
-  let lambda = if !remaining > 0.0 then 0.0 else !lambda in
-  (alloc, lambda)
-
 let fsame a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let prop_merge_bit_identical_to_sort =
@@ -282,7 +161,7 @@ let prop_merge_bit_identical_to_sort =
     QCheck2.Gen.(pair gen_plcs_and_budget bool)
     (fun ((fs, budget), exhaust) ->
       let r = Plc_greedy.allocate ~exhaust ~budget fs in
-      let ref_alloc, ref_lambda = sort_based_allocate ~exhaust ~budget fs in
+      let ref_alloc, ref_lambda = Sort_greedy.allocate ~exhaust ~budget fs in
       Array.for_all2 fsame r.alloc ref_alloc && fsame r.lambda ref_lambda)
 
 let prop_scratch_reuse_bit_identical =
@@ -324,18 +203,6 @@ let prop_waterfill_close_to_greedy =
       wf <= exact +. 1e-6 *. Float.max 1.0 exact
       && wf >= exact -. (2e-4 *. Float.max 1.0 exact))
 
-let prop_fox_galil_agree =
-  QCheck2.Test.make ~name:"fox and galil agree on random utilities" ~count:150
-    QCheck2.Gen.(
-      let* n = int_range 1 5 in
-      let* us = list_repeat n (Helpers.gen_utility_with_cap 12.0) in
-      let* budget = int_range 0 40 in
-      return (Array.of_list us, budget))
-    (fun (us, budget) ->
-      let fox = Fox.allocate ~budget ~unit_size:1.0 us in
-      let galil = Galil.allocate ~budget ~unit_size:1.0 us in
-      Util.approx_equal ~eps:1e-6 fox.utility galil.utility)
-
 let () =
   Alcotest.run "alloc"
     [
@@ -358,13 +225,6 @@ let () =
         ] );
       ( "discrete",
         [
-          Alcotest.test_case "fox simple" `Quick test_fox_simple;
-          Alcotest.test_case "fox zero budget" `Quick test_fox_zero_budget;
-          Alcotest.test_case "fox = dp" `Quick test_fox_equals_dp;
-          Alcotest.test_case "galil = dp" `Quick test_galil_equals_dp;
-          Alcotest.test_case "fox fractional units" `Quick test_fox_fractional_units;
-          Alcotest.test_case "fractional agreement" `Quick test_fox_galil_dp_fractional_agree;
-          Alcotest.test_case "galil lambda" `Quick test_galil_lambda_consistent;
           Alcotest.test_case "dp nonconcave" `Quick test_dp_nonconcave;
           Alcotest.test_case "dp empty row" `Quick test_dp_empty_row;
         ] );
@@ -376,6 +236,5 @@ let () =
           prop_scratch_reuse_bit_identical;
           prop_greedy_monotone_in_budget;
           prop_waterfill_close_to_greedy;
-          prop_fox_galil_agree;
         ];
     ]

@@ -1,36 +1,5 @@
 open Aa_numerics
 
-let int_cmp = (compare : int -> int -> int)
-
-let test_poly_basic () =
-  let h = Heap.Poly.create ~cmp:int_cmp in
-  Alcotest.(check bool) "empty" true (Heap.Poly.is_empty h);
-  List.iter (Heap.Poly.push h) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
-  Alcotest.(check int) "length" 8 (Heap.Poly.length h);
-  Alcotest.(check int) "peek" 9 (Heap.Poly.peek h);
-  Alcotest.(check int) "pop max" 9 (Heap.Poly.pop h);
-  Alcotest.(check int) "next" 6 (Heap.Poly.pop h);
-  Alcotest.(check int) "length after" 6 (Heap.Poly.length h)
-
-let test_poly_sorts () =
-  let rng = Rng.create ~seed:5 () in
-  let a = Array.init 1000 (fun _ -> Rng.int rng 10_000) in
-  let h = Heap.Poly.of_array ~cmp:int_cmp a in
-  let out = Array.init 1000 (fun _ -> Heap.Poly.pop h) in
-  let expected = Array.copy a in
-  Array.sort (fun x y -> compare y x) expected;
-  Alcotest.(check (array int)) "heapsort descending" expected out
-
-let test_poly_empty_errors () =
-  let h = Heap.Poly.create ~cmp:int_cmp in
-  Alcotest.check_raises "pop" Not_found (fun () -> ignore (Heap.Poly.pop h));
-  Alcotest.check_raises "peek" Not_found (fun () -> ignore (Heap.Poly.peek h))
-
-let test_poly_min_heap_via_cmp () =
-  let h = Heap.Poly.create ~cmp:(fun a b -> int_cmp b a) in
-  List.iter (Heap.Poly.push h) [ 3; 1; 4 ];
-  Alcotest.(check int) "min first" 1 (Heap.Poly.pop h)
-
 let test_indexed_basic () =
   let h = Heap.Indexed.create [| 5.0; 9.0; 2.0 |] in
   Alcotest.(check int) "size" 3 (Heap.Indexed.size h);
@@ -75,33 +44,14 @@ let prop_indexed_model =
           model.(hm) = model.(!best))
         updates)
 
-let prop_poly_sorted =
-  QCheck2.Test.make ~name:"poly heap drains in sorted order" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 100) (float_range (-50.0) 50.0))
-    (fun xs ->
-      let h = Heap.Poly.create ~cmp:compare in
-      List.iter (Heap.Poly.push h) xs;
-      let rec drain acc =
-        if Heap.Poly.is_empty h then List.rev acc else drain (Heap.Poly.pop h :: acc)
-      in
-      let out = drain [] in
-      out = List.sort (fun a b -> compare b a) xs)
-
 let () =
   Alcotest.run "numerics-heap"
     [
-      ( "poly",
-        [
-          Alcotest.test_case "basic" `Quick test_poly_basic;
-          Alcotest.test_case "heapsort" `Quick test_poly_sorts;
-          Alcotest.test_case "empty errors" `Quick test_poly_empty_errors;
-          Alcotest.test_case "custom order" `Quick test_poly_min_heap_via_cmp;
-        ] );
       ( "indexed",
         [
           Alcotest.test_case "basic" `Quick test_indexed_basic;
           Alcotest.test_case "ties" `Quick test_indexed_ties_by_index;
           Alcotest.test_case "empty" `Quick test_indexed_empty;
         ] );
-      Helpers.qsuite "properties" [ prop_indexed_model; prop_poly_sorted ];
+      Helpers.qsuite "properties" [ prop_indexed_model ];
     ]

@@ -511,6 +511,41 @@ let test_e2e_ops_endpoints () =
   in
   Alcotest.(check int) "clean exit" 0 code
 
+(* The daemon-state gauges are sampled when /metrics is scraped, so
+   they are live without --trace (observability off), and every metric
+   name appears once in the exposition. *)
+let test_e2e_metrics_live_without_trace () =
+  let code, _err =
+    with_daemon [ "-m"; "2"; "-C"; "10" ] (fun addr _close ->
+        (with_client addr @@ fun fd r ->
+         List.iter
+           (fun line ->
+             let reply = roundtrip ~framed:false fd r line in
+             if not (contains ~needle:"OK" reply) then Alcotest.failf "%s: %s" line reply)
+           [ "ADMIT linear 1"; "ADMIT power 4 0.5"; "REBALANCE" ]);
+        let _, _, body = http_get addr "/metrics" in
+        let samples =
+          String.split_on_char '\n' body
+          |> List.filter_map (fun line ->
+                 match String.split_on_char ' ' line with
+                 | [ name; v ] when line.[0] <> '#' -> Some (name, float_of_string v)
+                 | _ -> None)
+        in
+        let names = List.map fst samples in
+        Alcotest.(check int) "each name once" (List.length names)
+          (List.length (List.sort_uniq String.compare names));
+        let sample name =
+          match List.assoc_opt name samples with
+          | Some v -> v
+          | None -> Alcotest.failf "/metrics has no %s sample" name
+        in
+        if not (sample "aa_engine_utility" > 0.0) then
+          Alcotest.failf "aa_engine_utility not live: %g" (sample "aa_engine_utility");
+        Helpers.check_float "aa_shard_0_active_threads" 2.0
+          (sample "aa_shard_0_active_threads"))
+  in
+  Alcotest.(check int) "clean exit" 0 code
+
 (* ---------- end-to-end: access log ---------- *)
 
 let alog_keys =
@@ -689,6 +724,8 @@ let () =
           Alcotest.test_case "two clients e2e" `Quick test_e2e_two_clients;
           Alcotest.test_case "ops endpoints over the socket" `Quick
             test_e2e_ops_endpoints;
+          Alcotest.test_case "metrics live without --trace" `Quick
+            test_e2e_metrics_live_without_trace;
           Alcotest.test_case "access log e2e" `Quick test_e2e_access_log;
           Alcotest.test_case "group-commit crash exits 70" `Quick
             test_e2e_group_commit_crash_exits_70;

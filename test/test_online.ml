@@ -1,6 +1,7 @@
 open Aa_numerics
 open Aa_utility
 open Aa_core
+module Placer = Aa_oracle.Placer
 
 let cap = 10.0
 
@@ -230,26 +231,28 @@ let test_tiebreak_window_does_not_creep () =
      computation is exact here (Sterbenz), so the gains are these exact
      values. The emptier-server tie rule may move the pick from server 0
      to server 1, but the window is anchored at the best gain seen, so
-     it must not creep on to server 2. *)
-  List.iter
-    (fun policy ->
-      let c = 2.0 in
-      let t = Online.create ~policy ~servers:3 ~capacity:c () in
-      let steep d =
-        Utility.Shapes.capped_linear ~cap:c ~slope:5.0 ~knee:(1.0 +. d)
-      in
-      let filler () = Utility.of_plc (Plc.constant ~cap:c 0.0) in
-      ignore (Online.admit_to t ~server:0 (steep 0.0));
-      ignore (Online.admit_to t ~server:1 (steep (Float.ldexp 1.0 (-40))));
-      ignore (Online.admit_to t ~server:2 (steep (Float.ldexp 1.0 (-39))));
-      (* resident counts 3 / 2 / 1: each tie candidate is emptier than
-         the incumbent, so a creeping window would walk to server 2 *)
-      ignore (Online.admit_to t ~server:0 (filler ()));
-      ignore (Online.admit_to t ~server:0 (filler ()));
-      ignore (Online.admit_to t ~server:1 (filler ()));
-      let j = Online.admit t (Utility.Shapes.linear ~cap:c ~slope:1.0) in
-      Alcotest.(check int) "tie window anchored at the best gain" 1 j)
-    [ Online.Full; Online.Incremental ]
+     it must not creep on to server 2 — in the incremental engine and in
+     the from-scratch oracle placer alike. *)
+  let c = 2.0 in
+  let steep d = Utility.Shapes.capped_linear ~cap:c ~slope:5.0 ~knee:(1.0 +. d) in
+  let filler () = Utility.of_plc (Plc.constant ~cap:c 0.0) in
+  let pick admit_to admit =
+    admit_to 0 (steep 0.0);
+    admit_to 1 (steep (Float.ldexp 1.0 (-40)));
+    admit_to 2 (steep (Float.ldexp 1.0 (-39)));
+    (* resident counts 3 / 2 / 1: each tie candidate is emptier than
+       the incumbent, so a creeping window would walk to server 2 *)
+    admit_to 0 (filler ());
+    admit_to 0 (filler ());
+    admit_to 1 (filler ());
+    admit (Utility.Shapes.linear ~cap:c ~slope:1.0)
+  in
+  let t = Online.create ~servers:3 ~capacity:c () in
+  let o = Placer.create ~servers:3 ~capacity:c in
+  Alcotest.(check int) "incremental: tie window anchored at the best gain" 1
+    (pick (fun server u -> ignore (Online.admit_to t ~server u)) (Online.admit t));
+  Alcotest.(check int) "oracle: tie window anchored at the best gain" 1
+    (pick (fun server u -> ignore (Placer.admit_to o ~server u)) (Placer.admit o))
 
 let test_auto_policy_resolves () =
   let t = Online.create ~policy:(Online.Auto { frac = 0.9 }) ~servers:2 ~capacity:cap () in
@@ -263,7 +266,7 @@ let test_auto_policy_resolves () =
     (Online.server_of t 0 <> Online.server_of t 1);
   Helpers.check_float "full utility recovered" 20.0 (Online.total_utility t);
   Helpers.check_float "certificate closed by the re-solve" 0.0 (Online.drift_bound t);
-  (* Full / Incremental never re-solve on their own *)
+  (* Incremental never re-solves on its own *)
   let t2 = Online.create ~servers:2 ~capacity:cap () in
   ignore (Online.admit_to t2 ~server:0 (u ()));
   ignore (Online.admit_to t2 ~server:0 (u ()));
@@ -300,11 +303,12 @@ let test_index_consistent_after_churn_and_resolve () =
   (* a resolve re-certifies against the pooled bound *)
   Helpers.check_ge "drift bound nonnegative" (Online.drift_bound t) 0.0
 
-(* Random ADMIT/DEPART/UPDATE sequences driven in lockstep through a Full
-   and an Incremental instance: placements, per-thread allocations and
-   totals must match bit for bit; each server must also match a
-   from-scratch [Plc_greedy.allocate] over its residents; and the
-   certified drift bound must upper-bound what a full re-solve recovers. *)
+(* Random ADMIT/DEPART/UPDATE sequences driven in lockstep through the
+   incremental engine and the from-scratch oracle placer: placements,
+   per-thread allocations and totals must match bit for bit; each server
+   must also match a from-scratch [Plc_greedy.allocate] over its
+   residents; and the certified drift bound must upper-bound what a full
+   re-solve recovers. *)
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"online: incremental = full, bit-identical; drift sound"
     ~count:500
@@ -321,16 +325,16 @@ let prop_incremental_matches_full =
       return (m, capv, ops))
     (fun (m, capv, ops) ->
       let ti = Online.create ~policy:Online.Incremental ~servers:m ~capacity:capv () in
-      let tf = Online.create ~policy:Online.Full ~servers:m ~capacity:capv () in
+      let tf = Placer.create ~servers:m ~capacity:capv in
       let bits = Int64.bits_of_float in
       let same a b = Int64.equal (bits a) (bits b) in
       let ok = ref true in
       let check_states () =
         for i = 0 to Online.n_admitted ti - 1 do
-          if Online.server_of ti i <> Online.server_of tf i then ok := false;
-          if not (same (Online.alloc_of ti i) (Online.alloc_of tf i)) then ok := false
+          if Online.server_of ti i <> Placer.server_of tf i then ok := false;
+          if not (same (Online.alloc_of ti i) (Placer.alloc_of tf i)) then ok := false
         done;
-        if not (same (Online.total_utility ti) (Online.total_utility tf)) then
+        if not (same (Online.total_utility ti) (Placer.total_utility tf)) then
           ok := false
       in
       List.iter
@@ -339,18 +343,18 @@ let prop_incremental_matches_full =
           let n_act = Array.length ids in
           if kind <= 2 || n_act = 0 then begin
             let ji = Online.admit ti u in
-            let jf = Online.admit tf u in
+            let jf = Placer.admit tf u in
             if ji <> jf then ok := false
           end
           else begin
             let i = ids.(pick mod n_act) in
             if kind = 3 then begin
               Online.depart ti i;
-              Online.depart tf i
+              Placer.depart tf i
             end
             else begin
               Online.update_utility ti i u;
-              Online.update_utility tf i u
+              Placer.update_utility tf i u
             end
           end;
           check_states ())
