@@ -178,9 +178,18 @@ let solve_cmd =
              inst.utilities)
       else inst
     in
+    (* Without coarsening, Algorithms 1 and 2 and the certificate share
+       one pooled solve: the Superopt inside [Linearized.make]. *)
+    let linearized =
+      if coarsen_eps > 0.0 then None
+      else
+        match algo with
+        | `Algo (Solver.Algo1 | Solver.Algo2) | `Local_search -> Some (Linearized.make inst)
+        | `Algo _ | `Exact | `Online -> None
+    in
     let assignment, label =
       match algo with
-      | `Algo a -> (Solver.solve ~rng a work_inst, Solver.name a)
+      | `Algo a -> (Solver.solve ~rng ?linearized a work_inst, Solver.name a)
       | `Exact -> ((Exact.solve work_inst).assignment, "exact")
       | `Online ->
           (* threads are admitted in file order, placed without migration *)
@@ -188,7 +197,7 @@ let solve_cmd =
               work_inst.utilities,
             "online" )
       | `Local_search ->
-          let a = Refine.per_server work_inst (Algo2.solve work_inst) in
+          let a = Refine.per_server work_inst (Algo2.solve ?linearized work_inst) in
           (fst (Local_search.improve work_inst a), "algo2+refill+local-search")
     in
     let assignment =
@@ -199,7 +208,11 @@ let solve_cmd =
     | Error e ->
         Printf.eprintf "internal error: infeasible assignment: %s\n" e;
         exit 2);
-    let so = Superopt.compute inst in
+    let so =
+      match linearized with
+      | Some (lin : Linearized.t) -> lin.superopt
+      | None -> Superopt.compute inst
+    in
     let cert = Bounds.certify inst so assignment in
     Format.eprintf "%s utility: %.6g (upper bound %.6g, ratio %.4f)@." label cert.achieved
       cert.superopt cert.ratio;

@@ -31,31 +31,29 @@ let c_solves = Aa_obs.Registry.counter "algo2.solves"
 let c_sorts = Aa_obs.Registry.counter "algo2.sorts"
 let c_assigned = Aa_obs.Registry.counter "algo2.threads_assigned"
 
-let by_peak (lin : Linearized.t) a b =
-  let pa = lin.threads.(a).peak and pb = lin.threads.(b).peak in
-  match compare pb pa with 0 -> compare a b | c -> c
-
-let by_slope (lin : Linearized.t) a b =
-  let sa = lin.threads.(a).slope and sb = lin.threads.(b).slope in
-  match compare sb sa with 0 -> compare a b | c -> c
-
-(* Fill [idx] with 0..n-1 ordered by nonincreasing peak, the tail beyond
-   the first [m] re-sorted by nonincreasing slope — all in place: the
-   tail re-sort uses an allocation-free range sort rather than an
-   Array.sub/blit copy (both comparators are total orders, so any
-   comparison sort yields the same permutation). *)
-let order_into ?(tail_resort = true) (lin : Linearized.t) idx =
-  let n = Array.length lin.threads in
-  let m = lin.instance.servers in
+(* Both comparators are total orders, so any correct sort yields the
+   same permutation; merge sort is the stdlib's fastest here. *)
+let order_keys ?(tail_resort = true) ~m ~peak ~slope idx =
+  let n = Array.length idx in
   for i = 0 to n - 1 do
     idx.(i) <- i
   done;
-  Array.sort (by_peak lin) idx;
-  Aa_obs.Registry.Counter.incr c_sorts;
+  let desc (key : float array) a b =
+    match compare key.(b) key.(a) with 0 -> compare a b | c -> c
+  in
+  Array.stable_sort (desc peak) idx;
   if tail_resort && n > m then begin
-    Util.sort_range (by_slope lin) idx ~lo:m ~len:(n - m);
-    Aa_obs.Registry.Counter.incr c_sorts
+    let tail = Array.sub idx m (n - m) in
+    Array.stable_sort (desc slope) tail;
+    Array.blit tail 0 idx m (n - m)
   end
+
+let order_into ?(tail_resort = true) (lin : Linearized.t) idx =
+  let m = lin.instance.servers in
+  let peak = Array.map (fun (th : Linearized.thread) -> th.peak) lin.threads in
+  let slope = Array.map (fun (th : Linearized.thread) -> th.slope) lin.threads in
+  order_keys ~tail_resort ~m ~peak ~slope idx;
+  Aa_obs.Registry.Counter.add c_sorts (if tail_resort && Array.length idx > m then 2 else 1)
 
 let order ?tail_resort (lin : Linearized.t) =
   let idx = Array.make (Array.length lin.threads) 0 in

@@ -39,6 +39,14 @@ val solve :
     it; the returned assignment never aliases scratch storage. *)
 
 val order : ?tail_resort:bool -> Linearized.t -> int array
-(** The assignment order used by [solve] (exposed for tests): thread
-    indices sorted by peak, tail re-sorted by slope. Deterministic;
-    ties broken by original index. *)
+(** The assignment order used by [solve] (exposed for tests):
+    {!order_keys} over the threads' [peak] and [slope] fields. *)
+
+val order_keys :
+  ?tail_resort:bool -> m:int -> peak:float array -> slope:float array -> int array -> unit
+(** [order_keys ~m ~peak ~slope idx] fills [idx] with [0 .. n-1] sorted
+    by [peak] descending, then re-sorts the tail beyond the first [m] by
+    [slope] descending (unless [tail_resort] is false); ties go to the
+    smaller index. Algorithm 2's one order: {!solve}, {!Hetero.solve}
+    and {!Multires.solve} call it with their own keys. Counts nothing;
+    [algo2.sorts] counts {!solve}'s sorts only. *)

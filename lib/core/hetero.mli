@@ -3,9 +3,9 @@
 
     The super-optimal bound generalizes directly — pool
     [B = sum_j capacity_j] and cap each thread at the largest server.
-    The assignment step generalizes Algorithm 2: threads ordered by
-    linearized peak (tail re-sorted by slope) are placed on the server
-    with the most remaining resource. The [2(√2−1)] proof does {e not}
+    The assignment step generalizes Algorithm 2: threads in Algorithm 2's
+    own order ({!Algo2.order_keys}) are placed on the server with the
+    most remaining resource. The [2(√2−1)] proof does {e not}
     carry over verbatim (Lemmas V.5–V.8 use homogeneity), so the
     guarantee here is empirical: the bench's [hetero] experiment measures
     the achieved ratio against the generalized F̂, and the exact solver
@@ -36,7 +36,8 @@ val superopt : ?samples:int -> t -> superopt
     [ĉ_i <= max_j C_j]. Upper-bounds every feasible assignment. *)
 
 val solve : ?samples:int -> t -> Assignment.t
-(** Generalized Algorithm 2. *)
+(** Generalized Algorithm 2: {!Algo2.order_keys} over the pooled
+    allocation's peaks and slopes, then max-remaining placement. *)
 
 val check : ?eps:float -> t -> Assignment.t -> (unit, string) result
 (** Feasibility against per-server capacities. *)

@@ -221,15 +221,8 @@ let solve_informed ?samples t =
       (fun i p -> if chat.(i) > 0.0 then p /. chat.(i) else if p > 0.0 then Float.infinity else 0.0)
       peak
   in
-  let idx = Array.init n Fun.id in
-  let by_peak a b = match compare peak.(b) peak.(a) with 0 -> compare a b | c -> c in
-  Array.sort by_peak idx;
-  if n > m then begin
-    let tail = Array.sub idx m (n - m) in
-    let by_slope a b = match compare slope.(b) slope.(a) with 0 -> compare a b | c -> c in
-    Array.sort by_slope tail;
-    Array.blit tail 0 idx m (n - m)
-  end;
+  let idx = Array.make n 0 in
+  Algo2.order_keys ~m ~peak ~slope idx;
   let remaining = Array.init m (fun _ -> Array.copy t.capacities) in
   let server = Array.make n (-1) in
   Array.iter

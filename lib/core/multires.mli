@@ -19,9 +19,11 @@
       true optimum) and takes the minimum;
     - {!allocate_server} fills segments by marginal utility per unit of
       {e currently scarcest} resource (progressive filling);
-    - {!solve} orders threads by linearized peak as in Algorithm 2 and
-      places each on the server with the most dominant-resource headroom,
-      then re-fills every server.
+    - {!solve} orders threads with Algorithm 2's own order
+      ({!Algo2.order_keys}, keyed on the linearized peaks and slopes at
+      the tightest relaxation's rates) and places each on the server
+      with the most dominant-resource headroom, then re-fills every
+      server.
 
     The bench's [multires] experiment measures the heuristic against
     this bound and against a round-robin baseline. *)

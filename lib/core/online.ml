@@ -45,6 +45,7 @@ type t = {
   c : float;
   policy : policy;
   mutable n : int; (* admitted threads *)
+  mutable active : int; (* admitted and not departed *)
   residents : resident list array; (* per server, newest first *)
   counts : int array; (* per server, [List.length residents.(j)] *)
   orders : order array; (* per server merged piece order *)
@@ -72,6 +73,7 @@ let create ?(policy = Incremental) ~servers ~capacity () =
     c = capacity;
     policy;
     n = 0;
+    active = 0;
     residents = Array.make servers [];
     counts = Array.make servers 0;
     orders =
@@ -98,10 +100,7 @@ let resolves t = t.resolves
 
 let is_active t i = i >= 0 && i < t.n && not (Dynvec.get t.departed i)
 
-let n_active t =
-  let k = ref 0 in
-  Dynvec.iter (fun d -> if not d then incr k) t.departed;
-  !k
+let n_active t = t.active
 
 (* --- merged piece order maintenance -------------------------------- *)
 
@@ -293,6 +292,7 @@ let enroll t j u p =
   Dynvec.push t.departed false;
   Dynvec.push t.byid r;
   t.n <- t.n + 1;
+  t.active <- t.active + 1;
   t.counts.(j) <- t.counts.(j) + 1;
   t.residents.(j) <- r :: t.residents.(j);
   splice ~cap:t.c t.orders.(j) r;
@@ -355,7 +355,9 @@ let resolve t =
   end
   else begin
     let inst = active_instance t in
-    let x = Algo2.solve inst in
+    (* one pooled solve: Algorithm 2 and the drift certificate share F̂ *)
+    let lin = Linearized.make inst in
+    let x = Algo2.solve ~linearized:lin inst in
     (* [ids] ascends, so prepending rebuilds the newest-first invariant *)
     Array.iteri
       (fun k i ->
@@ -369,8 +371,7 @@ let resolve t =
       rebuild t j;
       fill t j
     done;
-    let fhat = (Superopt.compute inst).Superopt.utility in
-    let d = Float.max 0.0 (fhat -. total_utility t) in
+    let d = Float.max 0.0 (lin.superopt.utility -. total_utility t) in
     t.drift <- d;
     t.drift_trig <- d
   end
@@ -442,6 +443,7 @@ let depart t i =
   if not (is_active t i) then invalid_arg "Online.depart: unknown or departed thread";
   let j = Dynvec.get t.servers_of i in
   Dynvec.set t.departed i true;
+  t.active <- t.active - 1;
   t.counts.(j) <- t.counts.(j) - 1;
   let before = t.values.(j) in
   let r = Dynvec.get t.byid i in

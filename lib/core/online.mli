@@ -83,7 +83,8 @@ val update_utility : ?samples:int -> t -> int -> Aa_utility.Utility.t -> unit
     unknown/departed threads or cap mismatch. *)
 
 val n_active : t -> int
-(** Admitted and not departed. *)
+(** Admitted and not departed. O(1): a counter kept by admission and
+    {!depart}. *)
 
 val is_active : t -> int -> bool
 
@@ -104,17 +105,19 @@ val resolves : t -> int
 
 val resolve : t -> unit
 (** Re-solve the active set from scratch with Algorithm 2 — the one
-    operation allowed to migrate threads — then recompute the exact
-    pooled bound and reset the drift certificate to [max 0 (F̂ − U)].
-    With no active threads, clears all servers and zeroes the drift. *)
+    operation allowed to migrate threads — then reset the drift
+    certificate to [max 0 (F̂ − U)]. One pooled solve
+    ({!Linearized.make}) feeds both: Algorithm 2 runs on it, and F̂ is
+    its [superopt.utility]. With no active threads, clears all servers
+    and zeroes the drift. *)
 
 val note_bound : t -> upper:float -> unit
 (** [note_bound t ~upper] tightens the published {!drift_bound} given a
-    freshly computed pooled upper bound (e.g. the service REBALANCE
-    already runs {!Superopt.compute}); keeps whichever certificate is
-    smaller. Never loosens the bound, and never affects {!Auto}
-    triggering — re-solve points stay a pure function of the mutation
-    sequence so journal replay reproduces them. *)
+    freshly computed pooled upper bound (e.g. the F̂ of the pooled solve
+    that the service REBALANCE runs for Algorithm 2); keeps whichever
+    certificate is smaller. Never loosens the bound, and never affects
+    {!Auto} triggering — re-solve points stay a pure function of the
+    mutation sequence so journal replay reproduces them. *)
 
 val assignment : t -> Assignment.t
 (** Current assignment of all admitted threads, in admission order.

@@ -68,33 +68,3 @@ let is_sorted_strict a =
   let n = Array.length a in
   let rec loop i = i >= n || (a.(i - 1) < a.(i) && loop (i + 1)) in
   loop 1
-
-(* In-place heapsort of a.(lo .. lo+len-1): allocation-free, so hot
-   paths can re-sort a slice without Array.sub/blit round trips. With a
-   total-order comparator the result matches Array.sort on the slice. *)
-let sort_range cmp a ~lo ~len =
-  if lo < 0 || len < 0 || lo + len > Array.length a then
-    invalid_arg "Util.sort_range: range out of bounds";
-  let swap i j =
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  in
-  (* sift-down on the max-heap stored at a.(lo ..  lo+limit-1) *)
-  let rec sift limit i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let top = ref i in
-    if l < limit && cmp a.(lo + l) a.(lo + !top) > 0 then top := l;
-    if r < limit && cmp a.(lo + r) a.(lo + !top) > 0 then top := r;
-    if !top <> i then begin
-      swap (lo + i) (lo + !top);
-      sift limit !top
-    end
-  in
-  for i = (len / 2) - 1 downto 0 do
-    sift len i
-  done;
-  for last = len - 1 downto 1 do
-    swap lo (lo + last);
-    sift last 0
-  done

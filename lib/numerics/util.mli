@@ -54,9 +54,3 @@ val float_down : float -> float
 
 val is_sorted_strict : float array -> bool
 (** Whether the array is strictly increasing. *)
-
-val sort_range : ('a -> 'a -> int) -> 'a array -> lo:int -> len:int -> unit
-(** [sort_range cmp a ~lo ~len] sorts the slice [a.(lo .. lo+len-1)] in
-    place (heapsort: O(len log len), no allocation). Not stable; with a
-    comparator that is a total order the result is the unique sorted
-    permutation, identical to [Array.sort] on a copied slice. *)

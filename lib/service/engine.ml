@@ -286,7 +286,7 @@ let dispatch t (req : Protocol.request) : Protocol.response =
            of the solved assignment, so coarsening loss is reflected
            honestly; the certified interval brackets it:
            F'(x') <= F(x') <= F'(x') + n_active*eps. *)
-        let x', lower =
+        let offline_u, lower, fhat =
           if t.coarsen_eps > 0.0 then begin
             let coarse =
               Instance.create ~servers:inst.servers ~capacity:inst.capacity
@@ -297,19 +297,24 @@ let dispatch t (req : Protocol.request) : Protocol.response =
                    inst.utilities)
             in
             let x' = Algo2.solve coarse in
-            (x', Assignment.utility coarse x')
+            (* the coarse copy's F̂ does not bound the exact optimum, so
+               the certificate is the exact instance's own Superopt *)
+            ( Assignment.utility inst x',
+              Assignment.utility coarse x',
+              (Superopt.compute inst).Superopt.utility )
           end
           else begin
-            let x' = Algo2.solve inst in
-            (x', Assignment.utility inst x')
+            (* one pooled solve: Algorithm 2 and F̂ share it, and x' is
+               scored once since lower = offline at eps = 0 *)
+            let lin = Linearized.make inst in
+            let u = Assignment.utility inst (Algo2.solve ~linearized:lin inst) in
+            (u, u, lin.superopt.utility)
           end
         in
-        let offline_u = Assignment.utility inst x' in
         let upper = lower +. (float_of_int (Online.n_active ol) *. t.coarsen_eps) in
         (* Superopt's F̂ upper-bounds ANY assignment's utility (Lemma
            V.2): how far the serving allocation sits from that
            certificate. *)
-        let fhat = (Superopt.compute inst).Superopt.utility in
         let alpha_gap = fhat -. online_u in
         (* the freshly computed pooled bound re-certifies the drift gauge
            (tightening only — Auto re-solve points stay replay-exact) *)

@@ -112,13 +112,6 @@ let capped_linear ~cap ~slope ~knee =
   else if knee = cap then of_xs_ys [| 0.0; cap |] [| 0.0; slope *. cap |]
   else of_xs_ys [| 0.0; knee; cap |] [| 0.0; slope *. knee; slope *. knee |]
 
-let two_piece ~cap ~peak ~chat =
-  if not (0.0 <= chat && chat <= cap) then invalid_arg "Plc.two_piece: chat outside [0, cap]";
-  if peak < 0.0 then invalid_arg "Plc.two_piece: negative peak";
-  if Util.feq chat 0.0 then constant ~cap peak
-  else if chat = cap then of_xs_ys [| 0.0; cap |] [| 0.0; peak |]
-  else of_xs_ys [| 0.0; chat; cap |] [| 0.0; peak; peak |]
-
 let cap t = t.xs.(Array.length t.xs - 1)
 
 let last t = Array.length t.xs - 1

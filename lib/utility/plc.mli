@@ -33,11 +33,6 @@ val capped_linear : cap:float -> slope:float -> knee:float -> t
     NP-hardness reduction and tightness example. Requires
     [0 <= knee <= cap] and [slope >= 0]. *)
 
-val two_piece : cap:float -> peak:float -> chat:float -> t
-(** [two_piece ~cap ~peak ~chat] is the linearization [g] of §V-A: it
-    climbs linearly from [(0, 0)] to [(chat, peak)] and is flat up to
-    [cap]. [chat = 0] yields the constant-[peak] function. *)
-
 val cap : t -> float
 val eval : t -> float -> float
 (** Arguments are clamped to [[0, cap]]. *)

@@ -68,13 +68,6 @@ let to_plc ?(samples = 64) t =
       let pts = Array.map (fun x -> (x, Float.max 0.0 (s.eval x))) xs in
       Plc.create (Convex.upper_envelope pts)
 
-let linearize t ~chat =
-  let c = cap t in
-  if not (0.0 <= chat && chat <= c) then
-    invalid_arg "Utility.linearize: chat outside [0, cap]";
-  if Util.feq chat 0.0 then Plc.constant ~cap:c (eval t 0.0)
-  else Plc.two_piece ~cap:c ~peak:(eval t chat) ~chat
-
 let check ?(samples = 257) t =
   let pts = Array.map (fun x -> (x, eval t x)) (Util.linspace 0.0 (cap t) samples) in
   let negative = Array.exists (fun (_, y) -> y < 0.0) pts in

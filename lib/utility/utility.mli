@@ -58,11 +58,6 @@ val to_plc : ?samples:int -> t -> Plc.t
     points (default 64; denser near 0 where concave functions curve the
     most) and replaced by the upper concave envelope of the samples. *)
 
-val linearize : t -> chat:float -> Plc.t
-(** The linearization [g] of §V-A at the super-optimal allocation [chat]:
-    [g x = (x /. chat) *. eval t chat] for [x <= chat], then constant.
-    [chat = 0] yields the constant [eval t 0.]. *)
-
 val check : ?samples:int -> t -> (unit, string) result
 (** Sample-based verification that the function is nonnegative,
     nondecreasing and concave; returns a description of the first

@@ -92,10 +92,11 @@ let test_algo2_server_rules_feasible () =
     [ `Max_remaining; `Min_remaining; `Round_robin ]
 
 let test_order_matches_copy_reference () =
-  (* the tail re-sort is now in place (Util.sort_range); it must produce
-     exactly the permutation of the old Array.sub/sort/blit version —
-     both comparators are total orders (ties broken by index), so any
-     comparison sort agrees *)
+  (* Algo2.order sorts flat key arrays with its own sort; it must
+     produce exactly the permutation of the record-reading comparators
+     with Array.sort and an Array.sub/sort/blit tail — both comparators
+     are total orders (ties broken by index), so any comparison sort
+     agrees *)
   let rng = Rng.create ~seed:7 () in
   for _ = 1 to 20 do
     let trial = Rng.split rng in
@@ -123,6 +124,36 @@ let test_order_matches_copy_reference () =
     Alcotest.(check (array int))
       (Printf.sprintf "m=%d n=%d" servers threads)
       reference (Algo2.order lin)
+  done
+
+(* Algo2.order_keys against the sort Hetero and Multires inlined before
+   they shared it: Array.sort with polymorphic compare on the peak keys,
+   then Array.sub, sort and Array.blit of the tail by slope. Keys drawn
+   from a few values force many ties; infinity slopes stand for ĉ = 0
+   threads with a positive peak. *)
+let test_order_keys_matches_inline_reference () =
+  let rng = Rng.create ~seed:31 () in
+  let pick vals = vals.(Rng.int rng (Array.length vals)) in
+  for _ = 1 to 300 do
+    let n = Rng.int rng 60 in
+    let m = 1 + Rng.int rng 8 in
+    let peak = Array.init n (fun _ -> pick [| 0.0; 1.0; 2.5; 2.5; 7.0 |]) in
+    let slope = Array.init n (fun _ -> pick [| 0.0; 0.5; 3.0; Float.infinity; Float.infinity |]) in
+    let by_peak a b = match compare peak.(b) peak.(a) with 0 -> compare a b | c -> c in
+    let by_slope a b = match compare slope.(b) slope.(a) with 0 -> compare a b | c -> c in
+    let reference = Array.init n Fun.id in
+    Array.sort by_peak reference;
+    let unresorted = Array.copy reference in
+    if n > m then begin
+      let tail = Array.sub reference m (n - m) in
+      Array.sort by_slope tail;
+      Array.blit tail 0 reference m (n - m)
+    end;
+    let idx = Array.make n (-1) in
+    Algo2.order_keys ~m ~peak ~slope idx;
+    Alcotest.(check (array int)) (Printf.sprintf "m=%d n=%d" m n) reference idx;
+    Algo2.order_keys ~tail_resort:false ~m ~peak ~slope idx;
+    Alcotest.(check (array int)) (Printf.sprintf "no tail re-sort, m=%d n=%d" m n) unresorted idx
   done
 
 let test_scratch_solve_bit_identical () =
@@ -461,6 +492,8 @@ let () =
           Alcotest.test_case "server rules" `Quick test_algo2_server_rules_feasible;
           Alcotest.test_case "in-place order = copy reference" `Quick
             test_order_matches_copy_reference;
+          Alcotest.test_case "shared order = inline reference" `Quick
+            test_order_keys_matches_inline_reference;
           Alcotest.test_case "scratch bit-identical" `Quick test_scratch_solve_bit_identical;
           Alcotest.test_case "min-remaining scan = naive argmin" `Quick
             test_min_remaining_matches_naive_argmin;

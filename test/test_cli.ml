@@ -82,9 +82,39 @@ let test_figures_lists () =
       if not (contains out id) then Alcotest.failf "missing %s in figures output" id)
     [ "fig1a"; "fig3c" ]
 
+(* Every solver change must leave this sweep's stdout byte-identical:
+   the 19 lines below are its output (md5 42ff3c464b5f78b3aab98c641d2e1657). *)
+let fig2a_trials50 =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+         "# fig2a — power law (alpha=2), ratio vs beta";
+         "# ratios are Algo2 utility / comparator utility (mean over trials)";
+         "beta          vs_SO      vs_UU      vs_UR      vs_RU      vs_RR  worst_vs_SO   Algo1_SO   viol";
+         "1            1.0000     1.0000     1.0000     1.2517     1.2964       1.0000     1.0000      0";
+         "2            0.9979     1.0780     1.4060     1.2531     1.4441       0.9870     0.9956      0";
+         "3            0.9990     1.2360     1.5443     1.3882     1.7821       0.9966     0.9977      0";
+         "4            0.9989     1.4357     2.3208     1.6089     2.0150       0.9968     0.9977      0";
+         "5            0.9989     1.6544     2.1466     1.8255     2.5447       0.9955     0.9979      0";
+         "6            0.9987     1.8704     2.3552     2.0011     2.5570       0.9949     0.9976      0";
+         "7            0.9988     2.1297     2.5432     2.2601     3.1438       0.9945     0.9977      0";
+         "8            0.9988     2.3610     4.7899     2.4491     3.1858       0.9908     0.9974      0";
+         "9            0.9985     2.5651     2.7546     2.5867     3.3780       0.9925     0.9971      0";
+         "10           0.9987     2.8661     3.4505     2.8976     4.2387       0.9918     0.9980      0";
+         "11           0.9990     3.0807     3.4957     3.1939     4.0589       0.9949     0.9979      0";
+         "12           0.9990     3.2972     4.0338     3.3518     4.0431       0.9960     0.9979      0";
+         "13           0.9991     3.5211     4.1050     3.5756     4.3982       0.9942     0.9980      0";
+         "14           0.9994     3.8797     5.0232     3.9531     4.7131       0.9971     0.9985      0";
+         "15           0.9991     3.9532     4.0111     4.1328     5.3678       0.9952     0.9979      0";
+         "";
+       ])
+
 let test_sweep_runs () =
   let out = run [ "sweep"; "fig3b"; "--trials"; "2" ] in
-  if String.length out < 100 then Alcotest.fail "sweep output too short"
+  if String.length out < 100 then Alcotest.fail "sweep output too short";
+  Alcotest.(check string) "aa sweep fig2a --trials 50" fig2a_trials50
+    (run [ "sweep"; "fig2a"; "--trials"; "50" ])
 
 let test_sweep_jobs_flag () =
   let a = run [ "sweep"; "fig3c"; "--trials"; "2"; "--jobs"; "1" ] in

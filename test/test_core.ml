@@ -130,6 +130,61 @@ let test_linearized_g_minorizes_f () =
       done)
     lin.threads
 
+(* [g_value] is a closed form of the ramp. It must return the bits of
+   the PLC ramp it replaced: [Plc.create [(0,0); (ĉ,peak); (C,peak)]],
+   or [Plc.constant ~cap:C peak] when ĉ ≈ 0, at every probe point.
+   Random instances of every generator; the first threads get ĉ forced
+   to 0, to two values within the ≈ 0 tolerance, and to C. The same
+   loop pins the ramp's shape: g(ĉ) = peak, flat from ĉ on, and the
+   constant peak when ĉ ≈ 0. *)
+let test_linearized_closed_form_bits () =
+  let bits = Int64.bits_of_float in
+  let dists =
+    Aa_workload.Gen.
+      [|
+        Uniform;
+        Power_law { alpha = 2.0 };
+        Normal { mu = 1.0; sigma = 1.0 };
+        Discrete { gamma = 0.85; theta = 5.0 };
+      |]
+  in
+  let rng = Rng.create ~seed:29 () in
+  for trial = 0 to 39 do
+    let r = Rng.split rng in
+    let capacity = Rng.uniform r ~lo:1.0 ~hi:200.0 in
+    let inst =
+      Aa_workload.Gen.instance r ~servers:(1 + Rng.int r 4) ~capacity
+        ~threads:(4 + Rng.int r 30)
+        dists.(trial mod Array.length dists)
+    in
+    let so = Superopt.compute inst in
+    let chat = Array.copy so.chat in
+    Array.iteri (fun k c -> chat.(k) <- c) [| 0.0; 1e-12; 5e-10; capacity |];
+    let lin = Linearized.of_superopt inst { so with chat } in
+    Array.iter
+      (fun (th : Linearized.thread) ->
+        let degenerate = Util.feq th.chat 0.0 in
+        let ramp =
+          if degenerate then Plc.constant ~cap:capacity th.peak
+          else Plc.create [| (0.0, 0.0); (th.chat, th.peak); (capacity, th.peak) |]
+        in
+        let probes =
+          [ -1.0; 0.0; th.chat /. 2.0; Float.pred th.chat; th.chat; Float.succ th.chat;
+            capacity; 2.0 *. capacity ]
+        in
+        List.iter
+          (fun x ->
+            let g = Linearized.g_value th x in
+            if not (Int64.equal (bits g) (bits (Plc.eval ramp x))) then
+              Alcotest.failf "trial %d thread %d chat %h: g(%h) = %h, PLC ramp %h" trial
+                th.index th.chat x g (Plc.eval ramp x);
+            if (degenerate || x >= th.chat) && not (Int64.equal (bits g) (bits th.peak)) then
+              Alcotest.failf "trial %d thread %d: g(%h) = %h, not the peak %h" trial th.index x
+                g th.peak)
+          probes)
+      lin.threads
+  done
+
 (* ---------- Solver umbrella ---------- *)
 
 let test_solver_names () =
@@ -227,6 +282,8 @@ let () =
           Alcotest.test_case "structure" `Quick test_linearized_structure;
           Alcotest.test_case "superoptimal utility" `Quick test_linearized_superoptimal_utility;
           Alcotest.test_case "g minorizes f" `Quick test_linearized_g_minorizes_f;
+          Alcotest.test_case "closed form = PLC ramp, bit for bit" `Quick
+            test_linearized_closed_form_bits;
         ] );
       ( "solver",
         [

@@ -300,15 +300,32 @@ let test_index_consistent_after_churn_and_resolve () =
   (match Assignment.check (Online.active_instance t) (Online.active_assignment t) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-resolve snapshot infeasible: %s" e);
-  (* a resolve re-certifies against the pooled bound *)
-  Helpers.check_ge "drift bound nonnegative" (Online.drift_bound t) 0.0
+  (* a resolve re-certifies against the pooled bound: exactly
+     max 0 (F̂ - U), with F̂ from a separate Superopt.compute. This
+     re-solve reaches F̂; three knee-6 threads on two servers of 10
+     cannot (F̂ = 18, U = 16), so the second engine has a positive gap *)
+  let check_drift t =
+    let fhat = (Superopt.compute (Online.active_instance t)).utility in
+    let want = Float.max 0.0 (fhat -. Online.total_utility t) in
+    Alcotest.(check int64) "drift bound = max 0 (F^ - U)" (Int64.bits_of_float want)
+      (Int64.bits_of_float (Online.drift_bound t))
+  in
+  check_drift t;
+  let t2 = Online.create ~servers:2 ~capacity:cap () in
+  for _ = 1 to 3 do
+    ignore (Online.admit t2 (Utility.Shapes.capped_linear ~cap ~slope:1.0 ~knee:6.0))
+  done;
+  Online.resolve t2;
+  check_drift t2;
+  Helpers.check_float "fragmentation gap" 2.0 (Online.drift_bound t2)
 
 (* Random ADMIT/DEPART/UPDATE sequences driven in lockstep through the
    incremental engine and the from-scratch oracle placer: placements,
-   per-thread allocations and totals must match bit for bit; each server
-   must also match a from-scratch [Plc_greedy.allocate] over its
-   residents; and the certified drift bound must upper-bound what a full
-   re-solve recovers. *)
+   per-thread allocations and totals must match bit for bit, and the
+   active-thread counter must match the active ids; each server must
+   also match a from-scratch [Plc_greedy.allocate] over its residents;
+   and the certified drift bound must upper-bound what a full re-solve
+   recovers. *)
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"online: incremental = full, bit-identical; drift sound"
     ~count:500
@@ -335,7 +352,8 @@ let prop_incremental_matches_full =
           if not (same (Online.alloc_of ti i) (Placer.alloc_of tf i)) then ok := false
         done;
         if not (same (Online.total_utility ti) (Placer.total_utility tf)) then
-          ok := false
+          ok := false;
+        if Online.n_active ti <> Array.length (Online.active_ids ti) then ok := false
       in
       List.iter
         (fun (kind, pick, u) ->

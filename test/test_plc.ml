@@ -63,14 +63,6 @@ let test_capped_linear () =
   let zero = Plc.capped_linear ~cap:10.0 ~slope:2.0 ~knee:0.0 in
   Helpers.check_float "zero knee" 0.0 (Plc.peak zero)
 
-let test_two_piece () =
-  let g = Plc.two_piece ~cap:10.0 ~peak:6.0 ~chat:4.0 in
-  Helpers.check_float "half ramp" 3.0 (Plc.eval g 2.0);
-  Helpers.check_float "at chat" 6.0 (Plc.eval g 4.0);
-  Helpers.check_float "flat" 6.0 (Plc.eval g 9.0);
-  let const = Plc.two_piece ~cap:10.0 ~peak:6.0 ~chat:0.0 in
-  Helpers.check_float "chat 0 constant" 6.0 (Plc.eval const 0.0)
-
 let test_create_validation () =
   Alcotest.check_raises "must start at 0"
     (Invalid_argument "Plc.create: domain must start at x = 0") (fun () ->
@@ -313,7 +305,6 @@ let () =
           Alcotest.test_case "demand monotone" `Quick test_demand_monotone_in_price;
           Alcotest.test_case "constant" `Quick test_constant;
           Alcotest.test_case "capped_linear" `Quick test_capped_linear;
-          Alcotest.test_case "two_piece" `Quick test_two_piece;
           Alcotest.test_case "validation" `Quick test_create_validation;
           Alcotest.test_case "merges collinear" `Quick test_create_merges_collinear;
           Alcotest.test_case "unsorted/dedup" `Quick test_create_unsorted_dedup;

@@ -467,6 +467,63 @@ let test_engine_coarsen_interval () =
     (Invalid_argument "Engine.create: coarsen_eps must be finite and >= 0") (fun () ->
       ignore (Engine.create ~servers:2 ~capacity:cap ~coarsen_eps:(-1.0) ()))
 
+(* REBALANCE does one pooled solve; what it reports must equal, bit for
+   bit, separate from-scratch calls on the same active set: Algo2.solve
+   on the instance it solves (the coarsened copy when eps > 0),
+   Assignment.utility, and Superopt.compute on the exact instance for
+   F̂. About 100 threads of mixed shapes, some departed. *)
+let test_engine_rebalance_matches_from_scratch () =
+  let bits = Int64.bits_of_float in
+  let check_bits msg a b =
+    if not (Int64.equal (bits a) (bits b)) then Alcotest.failf "%s: %h <> %h" msg a b
+  in
+  List.iter
+    (fun eps ->
+      let e = Engine.create ~servers:4 ~capacity:cap ~coarsen_eps:eps () in
+      let rng = Rng.create ~seed:47 () in
+      for k = 0 to 109 do
+        let coeff = Rng.uniform rng ~lo:0.5 ~hi:5.0 in
+        let u =
+          match k mod 5 with
+          | 0 -> Utility.Shapes.power ~cap ~coeff ~beta:(Rng.uniform rng ~lo:0.2 ~hi:0.9)
+          | 1 -> Utility.Shapes.log_utility ~cap ~coeff ~rate:(Rng.uniform rng ~lo:0.1 ~hi:2.0)
+          | 2 -> Utility.Shapes.capped_linear ~cap ~slope:coeff ~knee:(Rng.uniform rng ~lo:0.0 ~hi:cap)
+          | 3 -> Utility.Shapes.linear ~cap ~slope:coeff
+          | _ -> Helpers.plc_u ~cap rng
+        in
+        ignore (Engine.handle e (Protocol.Admit u))
+      done;
+      List.iter (fun i -> ignore (expect_ok e (Printf.sprintf "DEPART %d" i))) [ 3; 17; 40; 41; 99 ];
+      let ol = Engine.online e in
+      let inst = Online.active_instance ol in
+      let online_u = Assignment.utility inst (Online.active_assignment ol) in
+      let solved =
+        if eps > 0.0 then
+          Instance.create ~servers:inst.servers ~capacity:inst.capacity
+            (Array.map
+               (fun u -> Utility.of_plc (Plc.coarsen ~eps (Utility.to_plc u)))
+               inst.utilities)
+        else inst
+      in
+      let x' = Algo2.solve solved in
+      let offline = Assignment.utility inst x' in
+      let lower = Assignment.utility solved x' in
+      let fhat = (Superopt.compute inst).utility in
+      let tag = Printf.sprintf "eps %g: " eps in
+      (match expect_ok e "REBALANCE" with
+      | Protocol.Rebalance_report r ->
+          check_bits (tag ^ "online") online_u r.online;
+          check_bits (tag ^ "offline") offline r.offline;
+          check_bits (tag ^ "gap") (online_u /. offline) r.gap
+      | r -> Alcotest.failf "unexpected %s" (Protocol.print_response r));
+      match (Engine.stats e).interval with
+      | None -> Alcotest.fail "interval missing after REBALANCE"
+      | Some (lo, hi, alpha) ->
+          check_bits (tag ^ "lower") lower lo;
+          check_bits (tag ^ "upper") (lower +. (105.0 *. eps)) hi;
+          check_bits (tag ^ "alpha_gap") (fhat -. online_u) alpha)
+    [ 0.0; 0.1 ]
+
 (* ---------- malformed-input fuzz ---------- *)
 
 let garbage_line rng =
@@ -849,6 +906,8 @@ let () =
           Alcotest.test_case "auto policy replay" `Quick test_engine_auto_policy_replay;
           Alcotest.test_case "SLOW verb" `Quick test_engine_slow_verb;
           Alcotest.test_case "coarsen interval" `Quick test_engine_coarsen_interval;
+          Alcotest.test_case "rebalance = from-scratch solve" `Quick
+            test_engine_rebalance_matches_from_scratch;
           Alcotest.test_case "malformed fuzz" `Quick test_fuzz_never_kills_engine;
         ] );
       ("shard", [ Alcotest.test_case "request metrics" `Quick test_shard_request_metrics ]);

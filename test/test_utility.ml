@@ -103,34 +103,6 @@ let test_to_plc_is_close () =
       done)
     (all_shapes ())
 
-let test_linearize_properties () =
-  List.iter
-    (fun (name, u) ->
-      let chat = 4.0 in
-      let g = Utility.linearize u ~chat in
-      Helpers.check_float (name ^ ": g(chat) = f(chat)") (Utility.eval u chat)
-        (Plc.eval g chat);
-      Helpers.check_float (name ^ ": flat after chat") (Utility.eval u chat)
-        (Plc.eval g cap);
-      (* minorization (Lemma V.4) *)
-      for i = 0 to 100 do
-        let x = cap *. float_of_int i /. 100.0 in
-        if Plc.eval g x > Utility.eval u x +. 1e-9 then
-          Alcotest.failf "%s: g exceeds f at %g" name x
-      done)
-    (all_shapes ())
-
-let test_linearize_chat_zero () =
-  let u = Utility.Shapes.linear ~cap ~slope:2.0 in
-  let g = Utility.linearize u ~chat:0.0 in
-  Helpers.check_float "constant at f(0)" 0.0 (Plc.eval g 5.0)
-
-let test_linearize_invalid () =
-  let u = Utility.Shapes.linear ~cap ~slope:1.0 in
-  Alcotest.check_raises "chat beyond cap"
-    (Invalid_argument "Utility.linearize: chat outside [0, cap]") (fun () ->
-      ignore (Utility.linearize u ~chat:(cap +. 1.0)))
-
 let test_check_catches_bad () =
   (* a convex function sneaked in via the Smooth constructor *)
   let bad =
@@ -218,12 +190,6 @@ let () =
         [
           Alcotest.test_case "to_plc minorizes" `Quick test_to_plc_minorizes_smooth;
           Alcotest.test_case "to_plc close" `Quick test_to_plc_is_close;
-        ] );
-      ( "linearize",
-        [
-          Alcotest.test_case "properties" `Quick test_linearize_properties;
-          Alcotest.test_case "chat zero" `Quick test_linearize_chat_zero;
-          Alcotest.test_case "invalid" `Quick test_linearize_invalid;
         ] );
       ( "check",
         [ Alcotest.test_case "catches invalid" `Quick test_check_catches_bad ] );
