@@ -320,7 +320,9 @@ let synth_plc rng k =
 let plc_kernel () =
   heading
     (Printf.sprintf
-       "PLC — flat kernel: eval/demand/allocate throughput at k pieces (trials=%d)" trials);
+       "PLC — flat kernel: eval/demand/allocate throughput at k pieces, curve construction \
+        (trials=%d)"
+       trials);
   let threads = 64 in
   let queries = 200_000 in
   let solves = max 2 (min 400 trials) in
@@ -386,7 +388,53 @@ let plc_kernel () =
         ~id:(Printf.sprintf "plc-k%d" k)
         ~jobs:1 ~trials:solves ~speedup ~counters t_merge)
     [ 8; 64; 512 ];
-  if Float.is_nan !sink then line "(sink nan — unreachable)"
+  if Float.is_nan !sink then line "(sink nan — unreachable)";
+  (* construction: 128-point sampled curves (the paper's generator, all
+     four distributions) through the flat constructor and through the
+     oracle's tuple-and-list path. The recorded speedup is
+     reference/flat, so a constructor slowdown shows up as
+     regression:true. A fixed curve count keeps the timed regions well
+     above timer noise at any AA_TRIALS. *)
+  let curves = 2000 in
+  let rng = Rng.create ~seed () in
+  let dists =
+    [|
+      Gen.Uniform;
+      Gen.Normal { mu = 1.0; sigma = 1.0 };
+      Gen.Power_law { alpha = 2.0 };
+      Gen.Discrete { gamma = 0.85; theta = 5.0 };
+    |]
+  in
+  let anchors =
+    Array.init curves (fun i ->
+        let v, w = Gen.draw_pair rng dists.(i mod 4) in
+        [| (0.0, 0.0); (500.0, v); (1000.0, v +. w) |])
+  in
+  let flat_of a = Aa_utility.Utility.to_plc (Aa_utility.Sampled.of_points a) in
+  let reference_of = Aa_oracle.Tuple_curve.sampled ~resolution:128 in
+  ignore (Sys.opaque_identity (Array.map flat_of anchors, Array.map reference_of anchors));
+  let t0 = now () in
+  let flat = Array.map flat_of anchors in
+  let t_flat = now () -. t0 in
+  let t0 = now () in
+  let reference = Array.map reference_of anchors in
+  let t_ref = now () -. t0 in
+  let same a b = Array.length a = Array.length b && Array.for_all2 fsame a b in
+  let identical =
+    Array.for_all2
+      (fun f (r : Aa_oracle.Tuple_curve.curve) ->
+        same (Plc.Flat.breakpoints f) r.xs
+        && same (Plc.Flat.prefix_utility f) r.ys
+        && same (Plc.Flat.slopes f) r.slopes)
+      flat reference
+  in
+  let speedup = t_ref /. t_flat in
+  line "construct 128-point sampled curves: flat %.2f us/curve (reference %.2f us/curve, %.2fx)"
+    (1e6 *. t_flat /. float_of_int curves)
+    (1e6 *. t_ref /. float_of_int curves)
+    speedup;
+  line "  flat curves bit-identical to the tuple-path reference: %b (must be true)" identical;
+  record ~id:"plc-construct-128" ~jobs:1 ~trials:curves ~speedup t_flat
 
 (* ---------- T1: timing ---------- *)
 

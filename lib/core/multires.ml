@@ -154,7 +154,9 @@ let relaxation ?samples t r =
       else begin
         let plc = Utility.to_plc ?samples th.rate_utility in
         let scaled =
-          Plc.create (Array.map (fun (x, y) -> (x *. d, y)) (Plc.points plc))
+          Plc.of_arrays
+            ~xs:(Array.map (fun x -> x *. d) (Plc.Flat.breakpoints plc))
+            ~ys:(Plc.Flat.prefix_utility plc)
         in
         consuming := (i, d, plc, scaled) :: !consuming
       end)

@@ -334,10 +334,17 @@ let active_ids t =
   done;
   Array.of_list !ids
 
+(* The views of the active set, over ids the caller computed once. *)
+let nonempty what ids =
+  if Array.length ids = 0 then invalid_arg (what ^ ": no active threads")
+
+let instance_of t ids =
+  Instance.create ~servers:t.m ~capacity:t.c (Array.map (Dynvec.get t.utilities) ids)
+
 let active_instance t =
   let ids = active_ids t in
-  if Array.length ids = 0 then invalid_arg "Online.active_instance: no active threads";
-  Instance.create ~servers:t.m ~capacity:t.c (Array.map (Dynvec.get t.utilities) ids)
+  nonempty "Online.active_instance" ids;
+  instance_of t ids
 
 let resolve t =
   t.resolves <- t.resolves + 1;
@@ -354,7 +361,7 @@ let resolve t =
     t.drift_trig <- 0.0
   end
   else begin
-    let inst = active_instance t in
+    let inst = instance_of t ids in
     (* one pooled solve: Algorithm 2 and the drift certificate share F̂ *)
     let lin = Linearized.make inst in
     let x = Algo2.solve ~linearized:lin inst in
@@ -488,12 +495,20 @@ let instance t =
   if t.n = 0 then invalid_arg "Online.instance: no threads admitted";
   Instance.create ~servers:t.m ~capacity:t.c (Array.init t.n (Dynvec.get t.utilities))
 
-let active_assignment t =
-  let ids = active_ids t in
-  if Array.length ids = 0 then invalid_arg "Online.active_assignment: no active threads";
+let assignment_of t ids =
   Assignment.make
     ~server:(Array.map (Dynvec.get t.servers_of) ids)
     ~alloc:(Array.map (alloc_of t) ids)
+
+let active_assignment t =
+  let ids = active_ids t in
+  nonempty "Online.active_assignment" ids;
+  assignment_of t ids
+
+let active_view t =
+  let ids = active_ids t in
+  nonempty "Online.active_view" ids;
+  (instance_of t ids, assignment_of t ids)
 
 let solve_sequence ?samples ?policy ~servers ~capacity us =
   let t = create ?policy ~servers ~capacity () in

@@ -155,6 +155,11 @@ val active_assignment : t -> Assignment.t
     {!active_ids} (thread [k] of {!active_instance} is admission id
     [(active_ids t).(k)]). Raises when no thread is active. *)
 
+val active_view : t -> Instance.t * Assignment.t
+(** [(active_instance t, active_assignment t)] from one walk over the
+    departed flags — what a REBALANCE scores the live assignment on.
+    Raises when no thread is active. *)
+
 val total_utility : t -> float
 (** Utility of the current assignment. *)
 

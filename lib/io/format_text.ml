@@ -3,16 +3,18 @@ open Aa_core
 
 let ( let* ) = Result.bind
 
+(* Runs of characters other than ' ' and '\t' before the first '#' (a
+   comment), scanned right to left so the list comes out in order. *)
 let tokens line =
-  (* strip comments, split on whitespace *)
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
+  let stop = match String.index_opt line '#' with Some i -> i | None -> String.length line in
+  let acc = ref [] and j = ref stop in
+  for i = stop - 1 downto -1 do
+    if i < 0 || line.[i] = ' ' || line.[i] = '\t' then begin
+      if !j > i + 1 then acc := String.sub line (i + 1) (!j - i - 1) :: !acc;
+      j := i
+    end
+  done;
+  !acc
 
 let float_of tok =
   try Ok (float_of_string tok) with Failure _ -> Error (tok ^ ": not a number")
@@ -20,29 +22,31 @@ let float_of tok =
 let int_of tok =
   try Ok (int_of_string tok) with Failure _ -> Error (tok ^ ": not an integer")
 
-let rec floats_of = function
-  | [] -> Ok []
-  | tok :: rest ->
-      let* x = float_of tok in
-      let* xs = floats_of rest in
-      Ok (x :: xs)
-
-let rec pairs_of = function
-  | [] -> Ok []
-  | [ _ ] -> Error "odd number of breakpoint values"
-  | x :: y :: rest ->
-      let* rest = pairs_of rest in
-      Ok ((x, y) :: rest)
+(* [plc x0 y0 x1 y1 ...] straight into the constructor's two arrays:
+   the first token that is not a number is the error, then an odd
+   count is. *)
+let plc_of nums =
+  let n = List.length nums in
+  let xs = Array.make ((n + 1) / 2) 0.0 and ys = Array.make ((n + 1) / 2) 0.0 in
+  let rec fill i = function
+    | [] -> Ok ()
+    | tok :: rest -> (
+        match float_of_string_opt tok with
+        | None -> Error (tok ^ ": not a number")
+        | Some v ->
+            if i land 1 = 0 then xs.(i lsr 1) <- v else ys.(i lsr 1) <- v;
+            fill (i + 1) rest)
+  in
+  let* () = fill 0 nums in
+  if n land 1 = 1 then Error "odd number of breakpoint values"
+  else Ok (Utility.of_plc (Plc.of_arrays ~xs ~ys))
 
 (* The single-utility grammar of `thread …` lines, shared with the
    service wire protocol (ADMIT/UPDATE carry one spec each). *)
 let parse_thread ~cap args =
   try
     match args with
-    | "plc" :: nums ->
-        let* values = floats_of nums in
-        let* pts = pairs_of values in
-        Ok (Utility.of_plc (Plc.create (Array.of_list pts)))
+    | "plc" :: nums -> plc_of nums
     | [ "power"; c; b ] ->
         let* c = float_of c in
         let* b = float_of b in
@@ -116,11 +120,10 @@ let parse_instance text =
       with Invalid_argument msg -> Error msg)
 
 let plc_spec p =
-  let buf = Buffer.create 64 in
+  let xs = Plc.Flat.breakpoints p and ys = Plc.Flat.prefix_utility p in
+  let buf = Buffer.create (4 + (48 * Array.length xs)) in
   Buffer.add_string buf "plc";
-  Array.iter
-    (fun (x, y) -> Buffer.add_string buf (Printf.sprintf " %.17g %.17g" x y))
-    (Plc.points p);
+  Array.iteri (fun i x -> Printf.bprintf buf " %.17g %.17g" x ys.(i)) xs;
   Buffer.contents buf
 
 (* Shapes-constructed utilities carry their parameters; anything else

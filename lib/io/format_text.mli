@@ -22,6 +22,16 @@
 val parse_instance : string -> (Aa_core.Instance.t, string) result
 (** Parse the text of an instance file. Errors carry a line number. *)
 
+val tokens : string -> string list
+(** The tokens of one line: maximal runs of characters other than
+    space and tab, up to the first [#] (the rest is a comment). The
+    instance format and the aa_serve wire protocol share it. *)
+
+val parse_thread : cap:float -> string list -> (Aa_utility.Utility.t, string) result
+(** {!parse_thread_spec} on a spec already split by {!tokens}: the
+    wire protocol and the journal hand over the tokens that follow
+    their verb, so a spec is tokenized once. *)
+
 val parse_thread_spec :
   cap:float -> string -> (Aa_utility.Utility.t, string) result
 (** Parse one utility spec — the part of a [thread] line after the
@@ -30,7 +40,8 @@ val parse_thread_spec :
     its own cap in the breakpoints (callers enforcing a fixed capacity
     must check {!Aa_utility.Utility.cap} on the result). Whitespace and
     [#] comments are tolerated, as in instance files. This is the
-    grammar the aa_serve wire protocol embeds in ADMIT / UPDATE. *)
+    grammar the aa_serve wire protocol embeds in ADMIT / UPDATE. A
+    [plc] spec's numbers go straight into {!Aa_utility.Plc.of_arrays}. *)
 
 val print_thread_spec : Aa_utility.Utility.t -> string
 (** Render one utility as a spec string (no [thread] keyword, no

@@ -94,7 +94,7 @@ let deriv t x =
 
 let sample t k =
   let n = Array.length t.xs in
-  let pts = Util.linspace t.xs.(0) t.xs.(n - 1) k in
-  Array.map (fun x -> (x, eval t x)) pts
+  let xs = Util.linspace t.xs.(0) t.xs.(n - 1) k in
+  (xs, Array.map (eval t) xs)
 
 let breakpoints t = Array.init (Array.length t.xs) (fun i -> (t.xs.(i), t.ys.(i)))

@@ -23,9 +23,10 @@ val deriv : t -> float -> float
 (** Derivative of the interpolant (one-sided at breakpoints, 0 outside the
     data range). *)
 
-val sample : t -> int -> (float * float) array
+val sample : t -> int -> float array * float array
 (** [sample t k] evaluates the interpolant at [k >= 2] evenly spaced
-    points spanning the data range, endpoints included. *)
+    points spanning the data range, endpoints included: [(xs, ys)] with
+    [ys.(i) = eval t xs.(i)], as two fresh arrays. *)
 
 val breakpoints : t -> (float * float) array
 (** The original data points. *)

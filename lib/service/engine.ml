@@ -278,8 +278,8 @@ let dispatch t (req : Protocol.request) : Protocol.response =
         Rebalance_report { online = 0.0; offline = 0.0; gap = 1.0 }
       end
       else begin
-        let inst = Online.active_instance ol in
-        let online_u = Assignment.utility inst (Online.active_assignment ol) in
+        let inst, live = Online.active_view ol in
+        let online_u = Assignment.utility inst live in
         (* Offline re-solve, optionally on a certified eps-coarsened copy
            of the instance (Plc.coarsen guarantees 0 <= f - f' <= eps
            pointwise). The reported utility is always the EXACT utility

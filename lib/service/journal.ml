@@ -69,7 +69,7 @@ let frame_entry e =
 
 let parse_entry ~cap line =
   let spec_of toks k =
-    match Aa_io.Format_text.parse_thread_spec ~cap (String.concat " " toks) with
+    match Aa_io.Format_text.parse_thread ~cap toks with
     | Ok u -> k u
     | Error e -> Error e
   in
@@ -78,7 +78,7 @@ let parse_entry ~cap line =
     | Some i -> k i
     | None -> Error (Printf.sprintf "%s: %S is not an integer" what tok)
   in
-  match Protocol.tokens line with
+  match Aa_io.Format_text.tokens line with
   | [] -> Ok None
   | "admit" :: (_ :: _ as toks) -> spec_of toks (fun u -> Ok (Some (Admit u)))
   | [ "depart"; tok ] -> int_of "depart" tok (fun i -> Ok (Some (Depart i)))
@@ -132,7 +132,7 @@ let unframe line =
                 else Ok (Some payload)))
 
 let parse_header line =
-  match Protocol.tokens line with
+  match Aa_io.Format_text.tokens line with
   | [ "aa-journal"; "2"; "servers"; m; "capacity"; c ] -> (
       match (int_of_string_opt m, float_of_string_opt c) with
       | Some servers, Some capacity when servers >= 1 && capacity > 0.0 ->

@@ -43,22 +43,12 @@ let code_name = function
   | Journal_failed -> "journal"
   | Degraded -> "degraded"
 
-let tokens line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
 let parse_request ~cap line =
   let fail code fmt =
     Printf.ksprintf (fun message -> Result.Error (Err { code; message })) fmt
   in
   let spec_of toks k =
-    match Aa_io.Format_text.parse_thread_spec ~cap (String.concat " " toks) with
+    match Aa_io.Format_text.parse_thread ~cap toks with
     | Ok u -> k u
     | Error e -> fail Bad_spec "%s" e
   in
@@ -67,7 +57,7 @@ let parse_request ~cap line =
     | Some i -> k i
     | None -> fail Bad_request "%s: %S is not a thread id" verb tok
   in
-  match tokens line with
+  match Aa_io.Format_text.tokens line with
   | [] -> fail Bad_request "empty request"
   | [ "STATS" ] -> Ok Stats
   | [ "SNAPSHOT" ] -> Ok Snapshot

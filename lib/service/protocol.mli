@@ -81,14 +81,13 @@ type response =
           threshold) *)
   | Err of { code : error_code; message : string }
 
-val tokens : string -> string list
-(** Whitespace-split with [#]-to-end-of-line comments removed — the
-    lexical layer shared by requests and journal lines. *)
-
 val parse_request : cap:float -> string -> (request, response) result
 (** [cap] is the server capacity, used as the domain cap of smooth
-    utility specs. The error branch is always an {!Err} response, ready
-    to print. *)
+    utility specs. The line is split once by {!Aa_io.Format_text.tokens}
+    (the lexical layer shared by requests, journal lines and instance
+    files), and an ADMIT / UPDATE spec's tokens go to
+    {!Aa_io.Format_text.parse_thread} as they are. The error branch is
+    always an {!Err} response, ready to print. *)
 
 val print_request : request -> string
 (** Canonical wire form; [parse_request] inverts it. *)

@@ -558,7 +558,7 @@ let post ?conn t (req : Protocol.request) : ticket =
 let submit t req = await t (post t req)
 
 let post_line ?conn t line =
-  match Protocol.tokens line with
+  match Aa_io.Format_text.tokens line with
   | [] -> `Blank
   | _ :: _ -> (
       let t0 = Aa_obs.Clock.now_s () in

@@ -17,88 +17,71 @@ type t = {
 
 type segment = { x0 : float; x1 : float; y0 : float; slope : float }
 
-let seg_slope (x0, y0) (x1, y1) = (y1 -. y0) /. (x1 -. x0)
+let seg_slope x0 y0 x1 y1 = (y1 -. y0) /. (x1 -. x0)
 
 (* The only way to build a [t]: derives the slope array from the
    breakpoints so the three arrays can never drift apart. *)
 let of_xs_ys xs ys =
-  let k = Array.length xs - 1 in
-  let slopes =
-    Array.init k (fun i -> seg_slope (xs.(i), ys.(i)) (xs.(i + 1), ys.(i + 1)))
-  in
+  let slopes = Array.make (Array.length xs - 1) 0.0 in
+  for i = 0 to Array.length slopes - 1 do
+    slopes.(i) <- seg_slope xs.(i) ys.(i) xs.(i + 1) ys.(i + 1)
+  done;
   { xs; ys; slopes }
 
 (* Merge consecutive collinear segments so slopes end up strictly
-   decreasing; assumes points already concave, sorted, deduped. *)
-let canonicalize pts =
-  let n = Array.length pts in
-  if n <= 2 then pts
-  else begin
-    let out = ref [ pts.(0) ] in
-    for i = 1 to n - 1 do
-      let p = pts.(i) in
-      let rec drop_collinear () =
-        match !out with
-        | b :: a :: rest when Util.feq ~eps:1e-12 (seg_slope a b) (seg_slope b p) ->
-            out := a :: rest;
-            drop_collinear ()
-        | _ -> ()
-      in
-      drop_collinear ();
-      out := p :: !out
+   decreasing; assumes points already concave, sorted, deduped. Works in
+   place with the front of the arrays as a stack and returns the number
+   of points kept. *)
+let canonicalize xs ys =
+  let top = ref 0 in
+  for i = 1 to Array.length xs - 1 do
+    let px = xs.(i) and py = ys.(i) in
+    while
+      !top >= 1
+      && Util.feq ~eps:1e-12
+           (seg_slope xs.(!top - 1) ys.(!top - 1) xs.(!top) ys.(!top))
+           (seg_slope xs.(!top) ys.(!top) px py)
+    do
+      decr top
     done;
-    Array.of_list (List.rev !out)
-  end
+    incr top;
+    xs.(!top) <- px;
+    ys.(!top) <- py
+  done;
+  !top + 1
 
-let validate pts =
-  let n = Array.length pts in
+let validate xs ys =
+  let n = Array.length xs in
   if n = 0 then invalid_arg "Plc.create: no points";
-  Array.iter
-    (fun (x, y) ->
-      if not (Float.is_finite x && Float.is_finite y) then
-        invalid_arg "Plc.create: non-finite coordinate")
-    pts;
-  let x0, _ = pts.(0) in
-  if Util.fne x0 0.0 then invalid_arg "Plc.create: domain must start at x = 0";
-  Array.iter
-    (fun (_, y) -> if y < 0.0 then invalid_arg "Plc.create: negative utility value")
-    pts;
-  if not (Convex.is_nondecreasing ~eps:1e-9 pts) then
+  for i = 0 to n - 1 do
+    if not (Float.is_finite xs.(i) && Float.is_finite ys.(i)) then
+      invalid_arg "Plc.create: non-finite coordinate"
+  done;
+  if Util.fne xs.(0) 0.0 then invalid_arg "Plc.create: domain must start at x = 0";
+  for i = 0 to n - 1 do
+    if ys.(i) < 0.0 then invalid_arg "Plc.create: negative utility value"
+  done;
+  if not (Convex.is_nondecreasing ~eps:1e-9 ys) then
     invalid_arg "Plc.create: utility must be nondecreasing";
-  if not (Convex.is_concave ~eps:1e-9 pts) then
+  if not (Convex.is_concave ~eps:1e-9 xs ys) then
     invalid_arg "Plc.create: utility must be concave"
 
-let sort_dedup pts =
-  let a = Array.copy pts in
-  Array.sort (fun (x1, _) (x2, _) -> compare x1 x2) a;
-  let out = ref [] in
-  Array.iter
-    (fun (x, y) ->
-      match !out with
-      (* exact dedup on the x coordinate, via the monomorphic float
-         compare: a tolerant merge here would silently move breakpoints
-         supplied by the caller (and would swallow infinities before
-         [validate] can reject them) *)
-      | (x', y') :: rest when Float.equal x' x -> out := (x, Float.max y y') :: rest
-      | _ -> out := (x, y) :: !out)
-    a;
-  Array.of_list (List.rev !out)
-
-let create points =
-  let pts = sort_dedup points in
+let of_arrays ~xs ~ys =
+  if Array.length ys <> Array.length xs then invalid_arg "Plc.of_arrays: xs/ys length mismatch";
+  (* fresh arrays, sorted by x with duplicates merged: every step below
+     may work in place without touching the caller's arrays *)
+  let xs, ys = Convex.sort_unique xs ys in
   (* Snap a float-noise start (|x0| within tolerance of 0) to the exact
      domain anchor so downstream code can rely on [xs.(0) = 0.]. *)
-  if Array.length pts > 0 then begin
-    let x0, y0 = pts.(0) in
-    if Util.feq x0 0.0 then pts.(0) <- (0.0, y0)
-  end;
-  validate pts;
+  if Array.length xs > 0 && Util.feq xs.(0) 0.0 then xs.(0) <- 0.0;
+  validate xs ys;
   (* Repair sub-tolerance concavity noise exactly once. *)
-  let pts = if Convex.is_concave ~eps:0.0 pts then pts else Convex.upper_envelope pts in
-  let pts = canonicalize pts in
-  if Array.length pts < 2 then
-    invalid_arg "Plc.create: need at least two distinct points (or use constant)";
-  of_xs_ys (Array.map fst pts) (Array.map snd pts)
+  let xs, ys = if Convex.is_concave ~eps:0.0 xs ys then (xs, ys) else Convex.upper_envelope xs ys in
+  let k = canonicalize xs ys in
+  if k < 2 then invalid_arg "Plc.create: need at least two distinct points (or use constant)";
+  of_xs_ys (Array.sub xs 0 k) (Array.sub ys 0 k)
+
+let create points = of_arrays ~xs:(Array.map fst points) ~ys:(Array.map snd points)
 
 let constant ~cap v =
   if v < 0.0 then invalid_arg "Plc.constant: negative value";
@@ -186,8 +169,6 @@ let segments t =
   Array.init (last t) (fun k ->
       { x0 = t.xs.(k); x1 = t.xs.(k + 1); y0 = t.ys.(k); slope = t.slopes.(k) })
 
-let points t = Array.init (Array.length t.xs) (fun i -> (t.xs.(i), t.ys.(i)))
-
 module Flat = struct
   let breakpoints t = t.xs
   let prefix_utility t = t.ys
@@ -212,7 +193,7 @@ let coarsen ~eps t =
     let a = ref 0 in
     (* Every interior i in (a, b) stays within eps of the chord a->b. *)
     let chord_ok a b =
-      let sl = seg_slope (t.xs.(a), t.ys.(a)) (t.xs.(b), t.ys.(b)) in
+      let sl = seg_slope t.xs.(a) t.ys.(a) t.xs.(b) t.ys.(b) in
       let ok = ref true in
       let i = ref (a + 1) in
       while !ok && !i < b do
@@ -240,12 +221,14 @@ let coarsen ~eps t =
 
 let restrict t ~cap:c =
   if not (0.0 < c && c <= cap t) then invalid_arg "Plc.restrict: cap outside (0, cap]";
-  let pts =
-    Array.to_list (points t)
-    |> List.filter (fun (x, _) -> x < c)
-    |> fun kept -> kept @ [ (c, eval t c) ]
-  in
-  create (Array.of_list pts)
+  (* the breakpoints left of c, then c itself *)
+  let k = ref 0 in
+  while t.xs.(!k) < c do
+    incr k
+  done;
+  let xs = Array.append (Array.sub t.xs 0 !k) [| c |] in
+  let ys = Array.append (Array.sub t.ys 0 !k) [| eval t c |] in
+  of_arrays ~xs ~ys
 
 let scale t ~y =
   if y < 0.0 then invalid_arg "Plc.scale: negative factor";

@@ -15,14 +15,22 @@ type t
 type segment = { x0 : float; x1 : float; y0 : float; slope : float }
 (** One linear piece: value [y0 + slope * (x - x0)] on [[x0, x1]]. *)
 
+val of_arrays : xs:float array -> ys:float array -> t
+(** [of_arrays ~xs ~ys] builds the function interpolating the points
+    [(xs.(i), ys.(i))], in any order; duplicate x keeps the larger y.
+    Requirements, checked and raising [Invalid_argument] with a
+    [Plc.create:] message: the smallest x is [0] (a start within 1e-9 of
+    [0] is snapped to it); coordinates are finite; y values are
+    nonnegative and nondecreasing in x; slopes are nonincreasing
+    (concavity), within a 1e-9 relative tolerance — tiny violations from
+    float noise are repaired by taking the upper concave envelope; at
+    least two distinct points remain once collinear segments merge.
+    Input whose x is already strictly increasing (samples, printed
+    specs) skips the sort. The arrays are copied, never kept. *)
+
 val create : (float * float) array -> t
-(** [create points] builds the function interpolating [points]
-    (pairs [(x, y)], in any order; duplicate x keeps the larger y).
-    Requirements, checked and raising [Invalid_argument]:
-    the smallest x is [0]; y values are nonnegative and nondecreasing in
-    x; slopes are nonincreasing (concavity), within a 1e-9 relative
-    tolerance — tiny violations from float noise are repaired by taking
-    the upper concave envelope. *)
+(** [create points] is {!of_arrays} on the points split into x and y
+    arrays — the same constructor for literal point lists. *)
 
 val constant : cap:float -> float -> t
 (** [constant ~cap v] is the function identically [v >= 0] on [[0, cap]]. *)
@@ -54,9 +62,6 @@ val demand : t -> float -> float
 
 val segments : t -> segment array
 (** The linear pieces, in increasing x, slopes strictly decreasing. *)
-
-val points : t -> (float * float) array
-(** Breakpoints [(x, y)] in increasing x. *)
 
 val n_pieces : t -> int
 (** Number of linear pieces (segments). At least 1. *)

@@ -9,10 +9,16 @@ let interpolant pts =
 
 let of_points ?(resolution = 128) pts =
   let p = interpolant pts in
-  let samples = Pchip.sample p resolution in
+  let xs, ys = Pchip.sample p resolution in
   (* Clip interpolation undershoot and enforce concavity by envelope. *)
-  let samples = Array.map (fun (x, y) -> (x, Float.max 0.0 y)) samples in
-  Utility.of_plc (Plc.create (Convex.upper_envelope samples))
+  for i = 0 to Array.length ys - 1 do
+    (* [Float.max 0.0 y] without boxing: negatives and -0 become +0,
+       NaN stays *)
+    let y = ys.(i) in
+    if Float.sign_bit y && not (Float.is_nan y) then ys.(i) <- 0.0
+  done;
+  let xs, ys = Convex.upper_envelope xs ys in
+  Utility.of_plc (Plc.of_arrays ~xs ~ys)
 
 let envelope_deviation ?(resolution = 128) pts =
   let p = interpolant pts in
@@ -20,7 +26,7 @@ let envelope_deviation ?(resolution = 128) pts =
   let peak = Utility.peak u in
   if peak <= 0.0 then 0.0
   else begin
-    let xs = Array.map fst (Pchip.sample p (4 * resolution)) in
+    let xs, _ = Pchip.sample p (4 * resolution) in
     let worst = ref 0.0 in
     Array.iter
       (fun x ->

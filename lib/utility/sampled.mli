@@ -13,7 +13,9 @@ val of_points : ?resolution:int -> (float * float) array -> Utility.t
     the interpolant at [resolution] points (default 128) and returns the
     upper concave envelope as a PLC utility. Requirements: at least two
     points, x strictly increasing starting at 0, y nonnegative
-    nondecreasing. *)
+    nondecreasing. The samples stay two float arrays: y is clipped at 0,
+    then {!Aa_numerics.Convex.upper_envelope} and {!Plc.of_arrays} take
+    their fast path, as sample x is already strictly increasing. *)
 
 val envelope_deviation : ?resolution:int -> (float * float) array -> float
 (** Maximum absolute difference between the PCHIP interpolant and the

@@ -65,16 +65,18 @@ let to_plc ?(samples = 64) t =
             s.cap *. (0.5 ** float_of_int (samples - 1 - i)))
       in
       let xs = Array.append (Array.append [| 0.0 |] uniform) geometric in
-      let pts = Array.map (fun x -> (x, Float.max 0.0 (s.eval x))) xs in
-      Plc.create (Convex.upper_envelope pts)
+      let ys = Array.map (fun x -> Float.max 0.0 (s.eval x)) xs in
+      let xs, ys = Convex.upper_envelope xs ys in
+      Plc.of_arrays ~xs ~ys
 
 let check ?(samples = 257) t =
-  let pts = Array.map (fun x -> (x, eval t x)) (Util.linspace 0.0 (cap t) samples) in
-  let negative = Array.exists (fun (_, y) -> y < 0.0) pts in
+  let xs = Util.linspace 0.0 (cap t) samples in
+  let ys = Array.map (eval t) xs in
+  let negative = Array.exists (fun y -> y < 0.0) ys in
   if negative then Error "utility takes a negative value"
-  else if not (Convex.is_nondecreasing ~eps:1e-7 pts) then
+  else if not (Convex.is_nondecreasing ~eps:1e-7 ys) then
     Error "utility is not nondecreasing"
-  else if not (Convex.is_concave ~eps:1e-6 pts) then Error "utility is not concave"
+  else if not (Convex.is_concave ~eps:1e-6 xs ys) then Error "utility is not concave"
   else Ok ()
 
 let pp ppf = function

@@ -15,8 +15,8 @@ let ipc p c = 1.0 /. (p.base_cpi +. (mpki p c *. p.miss_penalty /. 1000.0))
 
 let utility ?(resolution = 128) ~cache p =
   let xs = Util.linspace 0.0 cache resolution in
-  let pts = Array.map (fun c -> (c, ipc p c)) xs in
-  Utility.of_plc (Plc.create (Convex.upper_envelope pts))
+  let xs, ys = Convex.upper_envelope xs (Array.map (ipc p) xs) in
+  Utility.of_plc (Plc.of_arrays ~xs ~ys)
 
 let streaming label =
   {

@@ -9,19 +9,24 @@ let bid_curve ~cap tiers =
       if not (t.size > 0.0 && t.price >= 0.0) then
         invalid_arg "Cloud.bid_curve: tiers need positive size, nonnegative price")
     tiers;
-  let pts = ref [ (0.0, 0.0) ] in
+  (* breakpoints, newest first: x strictly increases tier by tier *)
+  let xs = ref [ 0.0 ] and ys = ref [ 0.0 ] in
+  let add px py =
+    xs := px :: !xs;
+    ys := py :: !ys
+  in
   let x = ref 0.0 and y = ref 0.0 in
   List.iter
     (fun t ->
       x := !x +. t.size;
       y := !y +. t.price;
-      if !x <= cap then pts := (!x, !y) :: !pts)
+      if !x <= cap then add !x !y)
     tiers;
-  if !x < cap then pts := (cap, !y) :: !pts
-  else if not (List.exists (fun (px, _) -> px = cap) !pts) then begin
+  if !x < cap then add cap !y
+  else if not (List.exists (fun px -> px = cap) !xs) then begin
     (* interpolate the boundary point of the tier straddling cap *)
-    match !pts with
-    | (x1, y1) :: _ ->
+    match (!xs, !ys) with
+    | x1 :: _, y1 :: _ ->
         let rate =
           (* unit price of the straddling tier *)
           let rec find acc = function
@@ -32,10 +37,11 @@ let bid_curve ~cap tiers =
           in
           find 0.0 tiers
         in
-        pts := (cap, y1 +. (rate *. (cap -. x1))) :: !pts
-    | [] -> assert false
+        add cap (y1 +. (rate *. (cap -. x1)))
+    | _ -> assert false
   end;
-  Utility.of_plc (Plc.create (Array.of_list !pts))
+  let ascending l = Array.of_list (List.rev l) in
+  Utility.of_plc (Plc.of_arrays ~xs:(ascending !xs) ~ys:(ascending !ys))
 
 let elastic ~cap ~budget ~beta =
   if not (budget >= 0.0) then invalid_arg "Cloud.elastic: negative budget";

@@ -144,7 +144,7 @@ let count_substring haystack needle =
    blank/comment lines; a malformed line yields its parse error. *)
 let engine_line e line =
   let open Aa_service in
-  match Protocol.tokens line with
+  match Aa_io.Format_text.tokens line with
   | [] -> None
   | _ :: _ -> (
       match Protocol.parse_request ~cap:(Engine.capacity e) line with

@@ -82,8 +82,9 @@ let test_figures_lists () =
       if not (contains out id) then Alcotest.failf "missing %s in figures output" id)
     [ "fig1a"; "fig3c" ]
 
-(* Every solver change must leave this sweep's stdout byte-identical:
-   the 19 lines below are its output (md5 42ff3c464b5f78b3aab98c641d2e1657). *)
+(* Every solver or curve-construction change must leave these sweeps'
+   stdout byte-identical. fig2a (power law): the 19 lines below are its
+   output (md5 42ff3c464b5f78b3aab98c641d2e1657). *)
 let fig2a_trials50 =
   String.concat ""
     (List.map
@@ -110,11 +111,100 @@ let fig2a_trials50 =
          "";
        ])
 
+(* aa sweep fig1a --trials 20: the uniform distribution
+   (md5 8494013ecdcde9ce6c787d2772f194da). *)
+let fig1a_trials20 =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+         "# fig1a — uniform distribution, ratio vs beta";
+         "# ratios are Algo2 utility / comparator utility (mean over trials)";
+         "beta          vs_SO      vs_UU      vs_UR      vs_RU      vs_RR  worst_vs_SO   Algo1_SO   viol";
+         "1            1.0000     1.0000     1.0000     1.3947     1.3724       1.0000     1.0000      0";
+         "2            0.9978     1.1374     1.2484     1.3269     1.4242       0.9941     0.9966      0";
+         "3            0.9986     1.1469     1.3003     1.2140     1.3454       0.9961     0.9989      0";
+         "4            0.9993     1.1975     1.3112     1.2778     1.3458       0.9982     0.9993      0";
+         "5            0.9996     1.2007     1.2908     1.2466     1.3333       0.9991     0.9995      0";
+         "6            0.9996     1.2208     1.3160     1.2397     1.3086       0.9990     0.9995      0";
+         "7            0.9996     1.2567     1.3042     1.2559     1.3355       0.9986     0.9996      0";
+         "8            0.9998     1.2616     1.3259     1.2792     1.3290       0.9992     0.9998      0";
+         "9            0.9998     1.2859     1.3364     1.2900     1.3353       0.9995     0.9998      0";
+         "10           0.9998     1.2900     1.3164     1.2930     1.3381       0.9995     0.9999      0";
+         "11           0.9998     1.2924     1.3295     1.2915     1.3376       0.9994     0.9999      0";
+         "12           0.9999     1.3179     1.3525     1.3139     1.3611       0.9996     0.9999      0";
+         "13           0.9999     1.3163     1.3551     1.3219     1.3702       0.9997     0.9999      0";
+         "14           0.9999     1.3423     1.3856     1.3421     1.3682       0.9997     0.9999      0";
+         "15           0.9999     1.3513     1.3743     1.3498     1.3690       0.9998     0.9999      0";
+         "";
+       ])
+
+(* aa sweep fig1b --trials 20: the normal distribution
+   (md5 7b9aee53210c1617334430fede3dd1ed). *)
+let fig1b_trials20 =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+         "# fig1b — normal(1,1) distribution, ratio vs beta";
+         "# ratios are Algo2 utility / comparator utility (mean over trials)";
+         "beta          vs_SO      vs_UU      vs_UR      vs_RU      vs_RR  worst_vs_SO   Algo1_SO   viol";
+         "1            1.0000     1.0000     1.0000     1.3407     1.4914       1.0000     1.0000      0";
+         "2            0.9972     1.1279     1.2013     1.3630     1.4637       0.9936     0.9957      0";
+         "3            0.9988     1.1690     1.2947     1.2993     1.4168       0.9966     0.9980      0";
+         "4            0.9991     1.2107     1.3095     1.2756     1.4033       0.9961     0.9987      0";
+         "5            0.9994     1.2778     1.3555     1.3173     1.4091       0.9987     0.9994      0";
+         "6            0.9997     1.2872     1.3542     1.3070     1.3886       0.9992     0.9995      0";
+         "7            0.9997     1.3338     1.3686     1.3450     1.4442       0.9988     0.9995      0";
+         "8            0.9997     1.3813     1.4430     1.3991     1.4761       0.9993     0.9995      0";
+         "9            0.9997     1.3857     1.4751     1.3912     1.4981       0.9991     0.9997      0";
+         "10           0.9998     1.4189     1.4718     1.4238     1.5058       0.9990     0.9996      0";
+         "11           0.9998     1.4448     1.4666     1.4499     1.4895       0.9993     0.9997      0";
+         "12           0.9998     1.4700     1.5186     1.4766     1.5412       0.9992     0.9997      0";
+         "13           0.9997     1.5071     1.5376     1.5107     1.5783       0.9987     0.9997      0";
+         "14           0.9999     1.5011     1.5387     1.4930     1.5528       0.9996     0.9997      0";
+         "15           0.9998     1.5089     1.5353     1.5156     1.5299       0.9994     0.9998      0";
+         "";
+       ])
+
+(* aa sweep fig3a --trials 20: the discrete distribution, whose collinear curves collapse to two points
+   (md5 d42e459fbb2f58701ea5cc260eb89975). *)
+let fig3a_trials20 =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+         "# fig3a — discrete (gamma=0.85, theta=5), ratio vs beta";
+         "# ratios are Algo2 utility / comparator utility (mean over trials)";
+         "beta          vs_SO      vs_UU      vs_UR      vs_RU      vs_RR  worst_vs_SO   Algo1_SO   viol";
+         "1            1.0000     1.0000     1.0000     1.4055     1.4123       1.0000     1.0000      0";
+         "2            0.9909     1.0840     1.1855     1.2606     1.3729       0.9815     0.9861      0";
+         "3            0.9866     1.2365     1.3938     1.2875     1.4892       0.9766     0.9823      0";
+         "4            0.9807     1.3883     1.5202     1.4811     1.5459       0.9675     0.9767      0";
+         "5            0.9807     1.5763     1.7081     1.6488     1.8024       0.9675     0.9775      0";
+         "6            0.9829     1.7538     1.9204     1.8009     1.9058       0.9675     0.9810      0";
+         "7            0.9864     1.9480     2.0547     1.9284     2.0814       0.9718     0.9856      0";
+         "8            0.9887     2.1062     2.2819     2.1416     2.2817       0.9675     0.9881      0";
+         "9            0.9901     2.1524     2.2552     2.1803     2.2404       0.9762     0.9898      0";
+         "10           0.9942     2.2023     2.2351     2.2218     2.2571       0.9786     0.9938      0";
+         "11           0.9946     2.2323     2.2911     2.2252     2.3286       0.9797     0.9941      0";
+         "12           0.9954     2.3814     2.4611     2.3564     2.5329       0.9805     0.9948      0";
+         "13           0.9968     2.3249     2.4548     2.3545     2.4874       0.9943     0.9962      0";
+         "14           0.9970     2.3924     2.4899     2.3797     2.4372       0.9945     0.9965      0";
+         "15           0.9977     2.4370     2.5020     2.4405     2.4295       0.9945     0.9973      0";
+         "";
+       ])
+
 let test_sweep_runs () =
   let out = run [ "sweep"; "fig3b"; "--trials"; "2" ] in
   if String.length out < 100 then Alcotest.fail "sweep output too short";
   Alcotest.(check string) "aa sweep fig2a --trials 50" fig2a_trials50
-    (run [ "sweep"; "fig2a"; "--trials"; "50" ])
+    (run [ "sweep"; "fig2a"; "--trials"; "50" ]);
+  List.iter
+    (fun (fig, expected) ->
+      Alcotest.(check string) ("aa sweep " ^ fig ^ " --trials 20") expected
+        (run [ "sweep"; fig; "--trials"; "20" ]))
+    [ ("fig1a", fig1a_trials20); ("fig1b", fig1b_trials20); ("fig3a", fig3a_trials20) ]
 
 let test_sweep_jobs_flag () =
   let a = run [ "sweep"; "fig3c"; "--trials"; "2"; "--jobs"; "1" ] in

@@ -58,9 +58,10 @@ let test_derivative_matches_finite_difference () =
 
 let test_sample () =
   let p = mk [| 0.0; 4.0 |] [| 0.0; 8.0 |] in
-  let s = Pchip.sample p 5 in
-  Alcotest.(check int) "count" 5 (Array.length s);
-  let x0, y0 = s.(0) and x4, y4 = s.(4) in
+  let xs, ys = Pchip.sample p 5 in
+  Alcotest.(check int) "count" 5 (Array.length xs);
+  Alcotest.(check int) "ys count" 5 (Array.length ys);
+  let x0, y0 = (xs.(0), ys.(0)) and x4, y4 = (xs.(4), ys.(4)) in
   Helpers.check_float "first x" 0.0 x0;
   Helpers.check_float "first y" 0.0 y0;
   Helpers.check_float "last x" 4.0 x4;

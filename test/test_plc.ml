@@ -293,6 +293,217 @@ let prop_coarsen_certified =
       done;
       !ok)
 
+(* ---- the flat constructor against the tuple-path reference ---- *)
+
+module Ref = Aa_oracle.Tuple_curve
+
+let outcome f = match f () with c -> Ok c | exception Invalid_argument m -> Error m
+
+let of_plc p =
+  Ref.
+    {
+      xs = Plc.Flat.breakpoints p;
+      ys = Plc.Flat.prefix_utility p;
+      slopes = Plc.Flat.slopes p;
+    }
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* Same breakpoints, prefix utilities and slopes as Int64 bits, or the
+   same [Invalid_argument] message. *)
+let same_outcome (a : (Ref.curve, string) result) (b : (Ref.curve, string) result) =
+  match (a, b) with
+  | Ok a, Ok b -> same_bits a.xs b.xs && same_bits a.ys b.ys && same_bits a.slopes b.slopes
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let show = function
+  | Ok (c : Ref.curve) -> Printf.sprintf "Ok (%d points)" (Array.length c.xs)
+  | Error m -> "Error " ^ m
+
+let dists =
+  [|
+    Aa_workload.Gen.Uniform;
+    Aa_workload.Gen.Normal { mu = 1.0; sigma = 1.0 };
+    Aa_workload.Gen.Power_law { alpha = 2.0 };
+    Aa_workload.Gen.Discrete { gamma = 0.85; theta = 5.0 };
+  |]
+
+(* A strictly concave chain from x = 0 with [k] pieces; the last slope
+   may be 0. *)
+let concave_points rng k =
+  let x = ref 0.0 and y = ref (Rng.float rng 2.0) in
+  let pts = ref [ (0.0, !y) ] in
+  let slope = ref (Rng.uniform rng ~lo:1.0 ~hi:10.0) in
+  for j = 1 to k do
+    let dx = Rng.uniform rng ~lo:0.01 ~hi:3.0 in
+    x := !x +. dx;
+    y := !y +. (!slope *. dx);
+    pts := (!x, !y) :: !pts;
+    slope := if j = k - 1 && Rng.bool rng then 0.0 else !slope *. Rng.uniform rng ~lo:0.1 ~hi:0.95
+  done;
+  Array.of_list (List.rev !pts)
+
+(* Point sets that exercise every branch of the constructor: each
+   variant names the input shape; variants 6 onward must raise. *)
+let variants =
+  [|
+    "concave"; "unsorted"; "duplicate x"; "x0 near 0"; "collinear runs"; "concavity noise";
+    "nan"; "+inf"; "-inf"; "negative y"; "x0 <> 0"; "decreasing"; "convex"; "two faults";
+  |]
+
+(* the seven single faults, variants 6 to 12 *)
+let n_faults = 7
+
+let rec points_case ?pts rng v =
+  let pts = match pts with Some p -> p | None -> concave_points rng (1 + Rng.int rng 40) in
+  let n = Array.length pts in
+  let shuffled a =
+    Rng.shuffle rng a;
+    a
+  in
+  let pick () = Rng.int rng n in
+  let set_x i x = pts.(i) <- (x, snd pts.(i)) and set_y i y = pts.(i) <- (fst pts.(i), y) in
+  match variants.(v) with
+  | "concave" -> pts
+  | "unsorted" -> shuffled pts
+  | "duplicate x" ->
+      let dups =
+        Array.init (1 + Rng.int rng 4) (fun _ ->
+            let x, y = pts.(pick ()) in
+            (x, if Rng.bool rng then y else y *. Rng.float rng 1.0))
+      in
+      shuffled (Array.append pts dups)
+  | "x0 near 0" ->
+      set_x 0 (Rng.uniform rng ~lo:(-9e-10) ~hi:9e-10);
+      if Rng.bool rng then shuffled pts else pts
+  | "collinear runs" ->
+      (* points exactly on the chords of random segments, in any order *)
+      let extra =
+        Array.init (1 + Rng.int rng 6) (fun _ ->
+            let i = Rng.int rng (max 1 (n - 1)) in
+            let (x0, y0), (x1, y1) = (pts.(i), pts.(min (n - 1) (i + 1))) in
+            let t = Rng.float rng 1.0 in
+            (x0 +. (t *. (x1 -. x0)), y0 +. (t *. (y1 -. y0))))
+      in
+      let all = Array.append pts extra in
+      Array.sort (fun (a, _) (b, _) -> Float.compare a b) all;
+      if Rng.bool rng then shuffled all else all
+  | "concavity noise" ->
+      (* bumps far below the 1e-9 relative tolerance: validation passes,
+         the exact test does not, so the second envelope pass runs *)
+      Array.map (fun (x, y) -> (x, y *. (1.0 +. Rng.uniform rng ~lo:0.0 ~hi:1e-13))) pts
+  | "nan" ->
+      if Rng.bool rng then set_x (pick ()) Float.nan else set_y (pick ()) Float.nan;
+      pts
+  | "+inf" ->
+      if Rng.bool rng then set_x (pick ()) Float.infinity else set_y (pick ()) Float.infinity;
+      pts
+  | "-inf" ->
+      if Rng.bool rng then set_x (pick ()) Float.neg_infinity
+      else set_y (pick ()) Float.neg_infinity;
+      pts
+  | "negative y" ->
+      set_y 0 (-.Rng.uniform rng ~lo:1e-6 ~hi:1.0);
+      pts
+  | "x0 <> 0" -> Array.map (fun (x, y) -> (x +. Rng.uniform rng ~lo:1e-6 ~hi:1.0, y)) pts
+  | "decreasing" -> Array.mapi (fun i (x, _) -> (x, snd pts.(n - 1 - i))) pts
+  | "convex" -> Array.mapi (fun i (x, y) -> (x, if i = 0 then y else y +. (x *. x))) pts
+  | _ (* two faults: the checks' order decides the message *) ->
+      let fault () = 6 + Rng.int rng n_faults in
+      let v1 = fault () and v2 = fault () in
+      points_case ~pts:(points_case ~pts rng v1) rng v2
+
+let prop_points_match_reference =
+  QCheck2.Test.make ~name:"flat constructor = tuple-path reference, bit for bit" ~count:3000
+    QCheck2.Gen.(pair (int_range 0 (Array.length variants - 1)) (int_range 0 1_000_000))
+    ~print:(fun (v, seed) -> Printf.sprintf "%s seed %d" variants.(v) seed)
+    (fun (v, seed) ->
+      let pts = points_case (Rng.create ~seed ()) v in
+      let flat = outcome (fun () -> of_plc (Plc.create pts)) in
+      let reference = outcome (fun () -> Ref.create (Array.copy pts)) in
+      if not (same_outcome flat reference) then
+        QCheck2.Test.fail_reportf "flat %s, reference %s" (show flat) (show reference);
+      (* the envelope on its own, on finite input *)
+      if Array.for_all (fun (x, y) -> Float.is_finite x && Float.is_finite y) pts then begin
+        let exs, eys = Convex.upper_envelope (Array.map fst pts) (Array.map snd pts) in
+        let env = Ref.upper_envelope pts in
+        if not (same_bits exs (Array.map fst env) && same_bits eys (Array.map snd env)) then
+          QCheck2.Test.fail_report "upper envelope differs from the reference"
+      end;
+      true)
+
+let prop_sampled_match_reference =
+  QCheck2.Test.make ~name:"sampled and to_plc curves = tuple-path reference, bit for bit"
+    ~count:800
+    QCheck2.Gen.(triple (int_range 0 7) (int_range 0 1_000_000) (oneofl [ 128; 128; 64; 17; 3; 2 ]))
+    ~print:(fun (k, seed, res) -> Printf.sprintf "case %d seed %d resolution %d" k seed res)
+    (fun (k, seed, resolution) ->
+      let rng = Rng.create ~seed () in
+      let cap = Rng.uniform rng ~lo:0.5 ~hi:2000.0 in
+      let flat, reference =
+        if k < 4 then begin
+          (* the paper's generator: three anchors, PCHIP, 128 samples *)
+          let v, w = Aa_workload.Gen.draw_pair rng dists.(k) in
+          let anchors = [| (0.0, 0.0); (cap /. 2.0, v); (cap, v +. w) |] in
+          ( outcome (fun () ->
+                of_plc (Utility.to_plc (Sampled.of_points ~resolution anchors))),
+            outcome (fun () -> Ref.sampled ~resolution anchors) )
+        end
+        else begin
+          let a = Rng.uniform rng ~lo:0.1 ~hi:10.0 and b = Rng.uniform rng ~lo:0.01 ~hi:0.99 in
+          let u =
+            match k with
+            | 4 -> Utility.Shapes.power ~cap ~coeff:a ~beta:b
+            | 5 -> Utility.Shapes.log_utility ~cap ~coeff:a ~rate:b
+            | 6 -> Utility.Shapes.saturating ~cap ~limit:a ~halfway:b
+            | _ -> Utility.Shapes.exp_saturating ~cap ~limit:a ~rate:b
+          in
+          match u with
+          | Utility.Smooth s ->
+              (outcome (fun () -> of_plc (Utility.to_plc u)), outcome (fun () -> Ref.smooth_to_plc s))
+          | Utility.Plc _ -> QCheck2.assume_fail ()
+        end
+      in
+      if not (same_outcome flat reference) then
+        QCheck2.Test.fail_reportf "flat %s, reference %s" (show flat) (show reference);
+      true)
+
+let test_second_envelope_pass () =
+  (* (1, 1 + 1e-12) sits above the chord of its neighbours by far less
+     than the 1e-9 tolerance: accepted, then repaired by the envelope *)
+  let pts = [| (0.0, 0.0); (1.0, 1.0); (2.0, 2.0 +. 2e-12); (3.0, 2.5) |] in
+  let xs = Array.map fst pts and ys = Array.map snd pts in
+  Alcotest.(check bool) "inside tolerance" true (Convex.is_concave ~eps:1e-9 xs ys);
+  Alcotest.(check bool) "not exactly concave" false (Convex.is_concave ~eps:0.0 xs ys);
+  let flat = outcome (fun () -> of_plc (Plc.of_arrays ~xs ~ys)) in
+  Alcotest.(check bool) "same bits as reference" true
+    (same_outcome flat (outcome (fun () -> Ref.create pts)));
+  Alcotest.(check (array (float 0.0))) "caller's arrays untouched" [| 0.0; 1.0; 2.0; 3.0 |] xs
+
+let test_of_arrays_length_mismatch () =
+  Alcotest.check_raises "lengths" (Invalid_argument "Plc.of_arrays: xs/ys length mismatch")
+    (fun () -> ignore (Plc.of_arrays ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0 |]))
+
+(* print -> parse gives back the same curve, bit for bit *)
+let prop_spec_roundtrip =
+  QCheck2.Test.make ~name:"parse_thread_spec (print_thread_spec u) = u, bit for bit" ~count:300
+    QCheck2.Gen.(pair (int_range 0 4) (int_range 0 1_000_000))
+    (fun (k, seed) ->
+      let rng = Rng.create ~seed () in
+      let cap = Rng.uniform rng ~lo:0.5 ~hi:2000.0 in
+      let u =
+        if k < 4 then Aa_workload.Gen.utility rng ~cap dists.(k)
+        else Utility.Shapes.power ~cap ~coeff:(Rng.uniform rng ~lo:0.1 ~hi:10.0) ~beta:0.5
+      in
+      match Aa_io.Format_text.parse_thread_spec ~cap (Aa_io.Format_text.print_thread_spec u) with
+      | Error e -> QCheck2.Test.fail_report e
+      | Ok v ->
+          let a = of_plc (Utility.to_plc u) and b = of_plc (Utility.to_plc v) in
+          same_outcome (Ok a) (Ok b))
+
 let () =
   Alcotest.run "utility-plc"
     [
@@ -314,6 +525,8 @@ let () =
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "flat accessors" `Quick test_flat_accessors;
           Alcotest.test_case "coarsen" `Quick test_coarsen_basic;
+          Alcotest.test_case "second envelope pass" `Quick test_second_envelope_pass;
+          Alcotest.test_case "of_arrays length mismatch" `Quick test_of_arrays_length_mismatch;
         ] );
       Helpers.qsuite "properties"
         [
@@ -324,4 +537,6 @@ let () =
           prop_flat_queries_match_reference;
           prop_coarsen_certified;
         ];
+      Helpers.qsuite "reference"
+        [ prop_points_match_reference; prop_sampled_match_reference; prop_spec_roundtrip ];
     ]
